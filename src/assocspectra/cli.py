@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import CapExceededError, ParseError, SchemaError, UnsupportedOperationError
+from .errors import CapExceededError, UnsupportedOperationError
 from .groupoids import (
     GALLERY_ENTRIES,
     TruncatedRing,
@@ -86,12 +86,15 @@ def _int_param(param: str, name: str) -> int:
         raise ValueError(f"bad parameter {param!r} for builtin {name!r}") from None
 
 
+_BINARY_BUILTINS = {"sigma_a", "left_factor", "dldr", "tau"}
+
+
 def _builtin_prefix(text: str, max_n: int | None, p: int,
                     max_count: int | None) -> SpectrumPrefix:
     name, _, param = text.partition(":")
+    if name in _BINARY_BUILTINS and p != 2:
+        raise ValueError(f"builtin {name} is binary only")
     if name == "sigma_a":
-        if p != 2:
-            raise ValueError("builtin sigma_a is binary only")
         if not param:
             raise ValueError("builtin sigma_a needs a bit string, e.g. sigma_a:000001")
         sigma = sigma_a(param, max_count=max_count)
@@ -103,8 +106,6 @@ def _builtin_prefix(text: str, max_n: int | None, p: int,
     if max_n is None:
         raise ValueError(f"builtin {name!r} needs --max-n")
     if name == "left_factor":
-        if p != 2:
-            raise ValueError("builtin left_factor is binary only")
         k = _int_param(param, name)
         return build_prefix(lambda n: left_factor_sigma(n, k, max_count=max_count), max_n)
     if name == "tail":
@@ -113,12 +114,8 @@ def _builtin_prefix(text: str, max_n: int | None, p: int,
     if param:
         raise ValueError(f"builtin {name!r} takes no parameter")
     if name == "dldr":
-        if p != 2:
-            raise ValueError("builtin dldr is binary only")
         return build_prefix(lambda n: dldr_sigma(n, max_count=max_count), max_n)
     if name == "tau":
-        if p != 2:
-            raise ValueError("builtin tau is binary only")
         return build_prefix(lambda n: tau(n, max_count=max_count), max_n)
     raise ValueError(f"unknown builtin {text!r}; expected left_factor:k, tail:k, dldr, tau "
                      "or sigma_a:bits")
@@ -238,10 +235,7 @@ def main(argv=None) -> int:
     except UnsupportedOperationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (SchemaError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

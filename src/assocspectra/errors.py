@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument and cap checks shared across the package."""
+
+from __future__ import annotations
 
 
 class CapExceededError(RuntimeError):
@@ -27,3 +29,25 @@ class SchemaError(ValueError):
 
 class UnsupportedOperationError(RuntimeError):
     """The requested operation is not available for this object."""
+
+
+def check_int(value, name: str, minimum: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` (not a ``bool``) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_cap(required: int, cap: int | None, default: int, what: str,
+                level: int | None = None) -> None:
+    """Raise :class:`CapExceededError` when ``required`` exceeds ``cap``.
+
+    ``cap`` of ``None`` means ``default``; any other cap must be a
+    nonnegative ``int`` and is checked before it is compared.  ``what``
+    states the need, e.g. ``"level 3 holds 5 bracketings"``.
+    """
+    if cap is None:
+        cap = default
+    check_int(cap, "cap", 0)
+    if required > cap:
+        raise CapExceededError(f"{what}, more than the cap of {cap}",
+                               required=required, limit=cap, level=level)

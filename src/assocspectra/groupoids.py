@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, SchemaError
+from .errors import CapExceededError, SchemaError, check_int, require_cap
 from .insertion import _level_rank, _level_tuples, catalan, from_tuple, to_tuple
 from .spectra import Partition, SpectrumPrefix, verify_closed
 from .terms import (
     Bracketing,
+    _fold,
     enumerate_bracketings,
+    leaf,
     left_right_depth,
     node,
     render_bracketing,
@@ -38,14 +40,12 @@ class Groupoid:
     __slots__ = ("arity", "size", "table", "names", "_array")
 
     def __init__(self, arity: int, size: int, table, names=None):
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 2:
-            raise ValueError(f"arity must be an integer >= 2, got {arity!r}")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise ValueError(f"carrier size must be a positive integer, got {size!r}")
+        check_int(arity, "arity", 2)
+        check_int(size, "carrier size", 1)
         table = tuple(int(e) for e in table)
-        if len(table) != size ** arity:
-            raise ValueError(
-                f"table has {len(table)} entries, expected {size}^{arity} = {size ** arity}")
+        # size**arity > len(table) once 2**arity does; never form a giant power
+        if (size > 1 and arity > len(table).bit_length()) or len(table) != size ** arity:
+            raise ValueError(f"table has {len(table)} entries, expected {size}^{arity}")
         for e in table:
             if not 0 <= e < size:
                 raise ValueError(f"table entry {e} outside the carrier 0..{size - 1}")
@@ -65,12 +65,7 @@ class Groupoid:
         """Operation value at ``args``."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        idx = 0
-        for a in args:
-            if not 0 <= a < self.size:
-                raise ValueError(f"element {a!r} outside the carrier 0..{self.size - 1}")
-            idx = idx * self.size + a
-        return self.table[idx]
+        return self.table[_flat_index(args, self.size)]
 
     def name_of(self, element: int) -> str:
         return self.names[element] if self.names else str(element)
@@ -82,6 +77,16 @@ class Groupoid:
 
     def __repr__(self):
         return f"Groupoid(p={self.arity}, size={self.size})"
+
+
+def _flat_index(args, size: int) -> int:
+    """Table index of ``args``, the first argument the most significant base-``size`` digit."""
+    idx = 0
+    for a in args:
+        if not 0 <= a < size:
+            raise ValueError(f"element {a!r} outside the carrier 0..{size - 1}")
+        idx = idx * size + a
+    return idx
 
 
 _DOC_KEYS = {"p", "size", "table", "names"}
@@ -97,24 +102,19 @@ def load_groupoid(doc) -> Groupoid:
     for key in ("p", "size", "table"):
         if key not in doc:
             raise SchemaError(f"groupoid document misses required key {key!r}")
-    p, size, table = doc["p"], doc["size"], doc["table"]
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise SchemaError(f"'p' must be an integer >= 2, got {p!r}")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise SchemaError(f"'size' must be a positive integer, got {size!r}")
-    if not isinstance(table, (list, tuple)):
+    p, size, table, names = doc["p"], doc["size"], doc["table"], doc.get("names")
+    check_int(p, "'p'", 2, SchemaError)
+    check_int(size, "'size'", 1, SchemaError)
+    if not isinstance(table, (list, tuple)) or not all(
+            isinstance(e, int) and not isinstance(e, bool) for e in table):
         raise SchemaError("'table' must be an array of integers")
-    if len(table) != size ** p:
-        raise SchemaError(f"'table' has {len(table)} entries, expected size^p = {size ** p}")
-    for e in table:
-        if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < size:
-            raise SchemaError(f"table entry {e!r} outside the carrier 0..{size - 1}")
-    names = doc.get("names")
-    if names is not None:
-        if (not isinstance(names, (list, tuple)) or len(names) != size
-                or not all(isinstance(nm, str) for nm in names)):
-            raise SchemaError("'names' must list one string per element")
-    return Groupoid(p, size, table, names)
+    if names is not None and (not isinstance(names, (list, tuple))
+                              or not all(isinstance(nm, str) for nm in names)):
+        raise SchemaError("'names' must list one string per element")
+    try:
+        return Groupoid(p, size, table, names)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def dump_groupoid(g: Groupoid) -> dict:
@@ -133,19 +133,10 @@ def eval_term(g: Groupoid, t: Bracketing, args) -> int:
     if len(args) != t.length:
         raise ValueError(f"expected {t.length} arguments, got {len(args)}")
 
-    def rec(s: Bracketing, offset: int) -> int:
-        if s.is_leaf:
-            a = args[offset]
-            if not 0 <= a < g.size:
-                raise ValueError(f"element {a!r} outside the carrier 0..{g.size - 1}")
-            return a
-        vals = []
-        for c in s.children:
-            vals.append(rec(c, offset))
-            offset += c.length
-        return g.apply(*vals)
-
-    return rec(t, 0)
+    bad = [a for a in args if not 0 <= a < g.size]
+    if bad:
+        raise ValueError(f"element {bad[0]!r} outside the carrier 0..{g.size - 1}")
+    return _fold(t, args.__getitem__, g.apply)
 
 
 class TermFunction:
@@ -169,12 +160,7 @@ class TermFunction:
     def __call__(self, *args: int) -> int:
         if len(args) != (self.arity - 1) * self.level + 1:
             raise ValueError(f"expected {(self.arity - 1) * self.level + 1} arguments")
-        idx = 0
-        for a in args:
-            if not 0 <= a < self.size:
-                raise ValueError(f"element {a!r} outside the carrier 0..{self.size - 1}")
-            idx = idx * self.size + a
-        return int(self.values[idx])
+        return int(self.values[_flat_index(args, self.size)])
 
     def __eq__(self, other):
         if not isinstance(other, TermFunction):
@@ -192,43 +178,38 @@ class _Tabulator:
     def __init__(self, g: Groupoid):
         dtype = np.min_scalar_type(g.size - 1)
         self.op = g._array.astype(dtype)
-        self.leaf_values = np.arange(g.size, dtype=dtype)
-        self.memo: dict[Bracketing, np.ndarray] = {}
+        self.memo: dict[Bracketing, np.ndarray] = {leaf(g.arity): np.arange(g.size, dtype=dtype)}
 
     def values(self, t: Bracketing) -> np.ndarray:
-        got = self.memo.get(t)
-        if got is None:
-            if t.is_leaf:
-                got = self.leaf_values
-            else:
-                got = self.op[np.ix_(*(self.values(c) for c in t.children))].ravel()
-            self.memo[t] = got
-        return got
+        memo = self.memo
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if s in memo:  # filled already, e.g. a child shared by two pending nodes
+                continue
+            try:
+                memo[s] = self.op[np.ix_(*[memo[c] for c in s.children])].ravel()
+            except KeyError:
+                stack.append(s)
+                stack.extend(c for c in s.children if c not in memo)
+        return memo[t]
 
 
 def term_function(g: Groupoid, t: Bracketing, *, max_cells: int | None = None) -> TermFunction:
     """Tabulate the function induced by ``t`` over all argument tuples."""
     if t.arity != g.arity:
         raise ValueError(f"bracketing arity {t.arity} does not match groupoid arity {g.arity}")
-    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     cells = g.size ** t.length
-    if cells > cap:
-        raise CapExceededError(
-            f"term table needs {cells} cells, more than the cap of {cap}",
-            required=cells, limit=cap)
+    require_cap(cells, max_cells, DEFAULT_MAX_CELLS, f"term table needs {cells} cells")
     return TermFunction(t.occ, g.arity, g.size, _Tabulator(g).values(t))
 
 
 def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
                max_count: int | None = None) -> Partition:
     """Partition level ``n`` by equality of induced term functions."""
-    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    length = (g.arity - 1) * n + 1
-    cells = g.size ** length * catalan(n, g.arity)
-    if cells > cap:
-        raise CapExceededError(
-            f"level {n} needs {cells} table cells, more than the cap of {cap}",
-            required=cells, limit=cap, level=n)
+    cells = g.size ** ((g.arity - 1) * n + 1) * catalan(n, g.arity)
+    require_cap(cells, max_cells, DEFAULT_MAX_CELLS, f"level {n} needs {cells} table cells",
+                level=n)
     trees = enumerate_bracketings(n, g.arity, max_count=max_count)
     tab = _Tabulator(g)
     groups: dict[bytes, int] = {}
@@ -256,11 +237,11 @@ def assoc_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
 
 
 def is_associative(g: Groupoid) -> bool:
-    """Whether all level-2 bracketings induce one and the same term function."""
-    trees = enumerate_bracketings(2, g.arity)
-    tab = _Tabulator(g)
-    want = tab.values(trees[0]).tobytes()
-    return all(tab.values(t).tobytes() == want for t in trees[1:])
+    """Whether all level-2 bracketings induce one and the same term function.
+
+    Subject to the default cell cap of :func:`fine_level`.
+    """
+    return fine_level(g, 2).num_classes == 1
 
 
 def direct_product(g: Groupoid, h: Groupoid, *, max_cells: int | None = None) -> Groupoid:
@@ -269,11 +250,7 @@ def direct_product(g: Groupoid, h: Groupoid, *, max_cells: int | None = None) ->
         raise ValueError(f"arity mismatch: {g.arity} vs {h.arity}")
     p = g.arity
     size = g.size * h.size
-    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    if size ** p > cap:
-        raise CapExceededError(
-            f"product table needs {size ** p} cells, more than the cap of {cap}",
-            required=size ** p, limit=cap)
+    require_cap(size ** p, max_cells, DEFAULT_MAX_CELLS, f"product table needs {size ** p} cells")
     table = []
     for combo in itertools.product(range(size), repeat=p):
         a = g.apply(*(c // h.size for c in combo))
@@ -374,8 +351,7 @@ def _egg7() -> Groupoid:
 
 
 def _polyk(k: int) -> Groupoid:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"polyk needs an integer degree k >= 1, got {k!r}")
+    check_int(k, "polyk degree k", 1)
     size = k + 2
     table = []
     for x in range(size):
@@ -395,9 +371,15 @@ def _sheffer() -> Groupoid:
 
 
 def _const_assoc(m: int) -> Groupoid:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"const_assoc needs a positive carrier size, got {m!r}")
+    check_int(m, "const_assoc carrier size m", 1)
     return Groupoid(2, m, [min(x + y, m - 1) for x in range(m) for y in range(m)])
+
+
+def _ring_op(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """``3Y*x1 + 2Y*x2`` on Z6 coefficient arrays along the last axis, lowest degree first."""
+    out = np.zeros_like(x1)
+    out[..., 1:] = (3 * x1[..., :-1] + 2 * x2[..., :-1]) % 6
+    return out
 
 
 class TruncatedRing:
@@ -410,8 +392,7 @@ class TruncatedRing:
     arity = 2
 
     def __init__(self, truncation: int = 16):
-        if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < 1:
-            raise ValueError(f"truncation degree must be a positive integer, got {truncation!r}")
+        check_int(truncation, "truncation degree", 1)
         self.truncation = truncation
 
     def element(self, coeffs) -> tuple[int, ...]:
@@ -430,11 +411,7 @@ class TruncatedRing:
         return tuple(out)
 
     def apply(self, x1, x2) -> tuple[int, ...]:
-        x1, x2 = self.element(x1), self.element(x2)
-        out = [0] * self.truncation
-        for d in range(1, self.truncation):
-            out[d] = (3 * x1[d - 1] + 2 * x2[d - 1]) % 6
-        return tuple(out)
+        return tuple(_ring_op(np.array(self.element(x1)), np.array(self.element(x2))).tolist())
 
     def eval_term(self, t: Bracketing, args) -> tuple[int, ...]:
         """Evaluate a binary bracketing over ring elements, left to right."""
@@ -443,15 +420,7 @@ class TruncatedRing:
         args = [self.element(a) for a in args]
         if len(args) != t.length:
             raise ValueError(f"expected {t.length} arguments, got {len(args)}")
-
-        def rec(s: Bracketing, offset: int):
-            if s.is_leaf:
-                return args[offset]
-            left = rec(s.children[0], offset)
-            right = rec(s.children[1], offset + s.children[0].length)
-            return self.apply(left, right)
-
-        return rec(t, 0)
+        return tuple(_fold(t, np.array(args).__getitem__, _ring_op).tolist())
 
     def __repr__(self):
         return f"TruncatedRing(truncation={self.truncation})"
@@ -499,7 +468,7 @@ def gallery(name: str, **params):
 
 @dataclass(frozen=True)
 class RingCheckReport:
-    """Outcome of comparing recursive ring evaluation against the depth closed form."""
+    """Outcome of comparing ring evaluation of each bracketing against the depth closed form."""
 
     truncation: int
     level: int
@@ -516,7 +485,7 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
                            seed: int = 0, max_count: int | None = None) -> RingCheckReport:
     """Check every level bracketing against its depth closed form on random arguments.
 
-    Recursive evaluation uses the ring operation only; the closed form
+    Term evaluation uses the ring operation only; the closed form
     ``(3Y)^dl * X_first + (2Y)^dr * X_last`` uses the tree depths, so the two
     routes are independent.  Needs ``level < truncation`` so distinct depths
     stay distinguishable below the truncation.
@@ -532,27 +501,15 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
     n_vars = level + 1
     args = rng.integers(0, 6, size=(trials, n_vars, truncation), dtype=np.int64)
 
-    def combine(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x1)
-        out[:, 1:] = (3 * x1[:, :-1] + 2 * x2[:, :-1]) % 6
-        return out
-
     def shifted(block: np.ndarray, degree: int, coeff: int) -> np.ndarray:
         out = np.zeros_like(block)
         if degree < truncation:
             out[:, degree:] = (coeff * block[:, :truncation - degree]) % 6
         return out
 
-    def evaluate(s: Bracketing, offset: int) -> np.ndarray:
-        if s.is_leaf:
-            return args[:, offset, :]
-        left = evaluate(s.children[0], offset)
-        right = evaluate(s.children[1], offset + s.children[0].length)
-        return combine(left, right)
-
     mismatches = []
     for t in trees:
-        got = evaluate(t, 0)
+        got = _fold(t, lambda i: args[:, i, :], _ring_op)
         if t.occ == 0:
             want = args[:, 0, :]
         else:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .errors import CapExceededError, ParseError
+from .errors import ParseError, check_int, require_cap
 from .terms import DEFAULT_MAX_BRACKETINGS, Bracketing, parse_bracketing
 
 
@@ -100,19 +100,14 @@ def _check_mkp_args(n: int, k: int, p: int) -> None:
         raise ValueError(f"tuple length must be nonnegative, got {n}")
     if k < 1:
         raise ValueError(f"bound offset must be positive, got {k}")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise ValueError(f"arity must be an integer >= 2, got {p!r}")
+    check_int(p, "arity", 2)
 
 
 def enumerate_m(n: int, k: int, p: int, *, max_count: int | None = None) -> list[tuple[int, ...]]:
     """All weakly increasing n-tuples with ``u_i <= (p-1)*(i-1) + k``, lexicographically."""
     _check_mkp_args(n, k, p)
-    cap = DEFAULT_MAX_BRACKETINGS if max_count is None else max_count
     total = count_m(n, k, p)
-    if total > cap:
-        raise CapExceededError(
-            f"M({n},{k},{p}) holds {total} tuples, more than the cap of {cap}",
-            required=total, limit=cap)
+    require_cap(total, max_count, DEFAULT_MAX_BRACKETINGS, f"M({n},{k},{p}) holds {total} tuples")
     return list(_iter_m(n, k, p))
 
 
@@ -131,10 +126,7 @@ def count_m(n: int, k: int, p: int) -> int:
 
 def catalan(n: int, p: int) -> int:
     """Number of bracketings with occurrence number ``n``: ``C(pn, n)/((p-1)n + 1)``."""
-    _check_mkp_args(n, 1, p)
-    q, r = divmod(comb(p * n, n), (p - 1) * n + 1)
-    assert r == 0, f"catalan({n},{p}) did not divide exactly"
-    return q
+    return count_m(n, 1, p)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceededError, ParseError
+from .errors import ParseError, require_cap
 from .insertion import (
     _level_rank,
     _level_tuples,
@@ -35,12 +35,9 @@ from .terms import (
 
 
 def _guarded_size(level: int, arity: int, max_count: int | None) -> int:
-    cap = DEFAULT_MAX_BRACKETINGS if max_count is None else max_count
     size = catalan(level, arity)
-    if size > cap:
-        raise CapExceededError(
-            f"level {level} holds {size} bracketings, more than the cap of {cap}",
-            required=size, limit=cap, level=level)
+    require_cap(size, max_count, DEFAULT_MAX_BRACKETINGS,
+                f"level {level} holds {size} bracketings", level=level)
     return size
 
 
@@ -200,21 +197,21 @@ def beta(t: Bracketing, i: int) -> Bracketing:
     """Replace the i-th variable of ``t`` (left to right) by a fresh operation on leaves."""
     if not 1 <= i <= t.length:
         raise ValueError(f"variable position {i} out of range 1..{t.length}")
-    p = t.arity
-    unit = node(*(leaf(p),) * p)
-
-    def rec(s: Bracketing, j: int) -> Bracketing:
-        if s.is_leaf:
-            return unit
-        kids = list(s.children)
-        for idx, c in enumerate(kids):
-            if j <= c.length:
-                kids[idx] = rec(c, j)
-                return node(*kids)
-            j -= c.length
-        raise AssertionError("variable position fell off the children")
-
-    return rec(t, i)
+    path: list[tuple[Bracketing, int]] = []  # each node above the variable, and the child taken
+    s = t
+    while not s.is_leaf:
+        for idx, c in enumerate(s.children):
+            if i <= c.length:
+                break
+            i -= c.length
+        else:
+            raise AssertionError("variable position fell off the children")
+        path.append((s, idx))
+        s = c
+    out = node(*(leaf(t.arity),) * t.arity)
+    for s, idx in reversed(path):
+        out = node(*s.children[:idx], out, *s.children[idx + 1:])
+    return out
 
 
 class _UnionFind:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import comb
 
-from .errors import CapExceededError, ParseError
+from .errors import ParseError, check_int, require_cap
 
 DEFAULT_MAX_BRACKETINGS = 10**6
 
@@ -61,15 +60,10 @@ class Bracketing:
         return f"Bracketing(p={self.arity}, {render_bracketing(self)!r})"
 
 
-def _check_arity(p) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise ValueError(f"arity must be an integer >= 2, got {p!r}")
-
-
 @lru_cache(maxsize=None)
 def leaf(p: int) -> Bracketing:
     """The single-variable bracketing of arity ``p``."""
-    _check_arity(p)
+    check_int(p, "arity", 2)
     return Bracketing(p, ())
 
 
@@ -92,13 +86,6 @@ def node(*children: Bracketing) -> Bracketing:
     return t
 
 
-def _catalan(n: int, p: int) -> int:
-    # closed-form level size; the public counting API lives in the insertion module
-    c, r = divmod(comb(p * n, n), (p - 1) * n + 1)
-    assert r == 0
-    return c
-
-
 def _word_of(t: Bracketing) -> str:
     """Prefix word of ``t``, cached on the shared nodes."""
     if t._word is not None:
@@ -116,6 +103,28 @@ def _word_of(t: Bracketing) -> str:
             s._word = "w" + "".join(c._word for c in s.children)
             stack.pop()
     return t._word
+
+
+def _fold(t: Bracketing, leaf, combine):
+    """Evaluate ``t`` bottom-up without recursion.
+
+    ``leaf(i)`` gives the value of the i-th variable (from 0, left to right)
+    and ``combine(v_1, ..., v_p)`` the value of an operation symbol over its
+    children's values.  The prefix word is scanned right to left, so the
+    stack top always holds the leftmost pending value.
+    """
+    p = t.arity
+    stack = []
+    i = t.length
+    for ch in reversed(_word_of(t)):
+        if ch == "x":
+            i -= 1
+            stack.append(leaf(i))
+        else:
+            kids = stack[:-p - 1:-1]
+            del stack[-p:]
+            stack.append(combine(*kids))
+    return stack[0]
 
 
 def _compositions(total: int, parts: int):
@@ -145,15 +154,14 @@ def _level(n: int, p: int) -> tuple[Bracketing, ...]:
 
 def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> list[Bracketing]:
     """All bracketings with occurrence number ``n``, once each, in canonical order."""
-    _check_arity(p)
+    check_int(p, "arity", 2)
     if n < 0:
         raise ValueError(f"occurrence number must be nonnegative, got {n}")
-    cap = DEFAULT_MAX_BRACKETINGS if max_count is None else max_count
-    total = _catalan(n, p)
-    if total > cap:
-        raise CapExceededError(
-            f"level {n} holds {total} bracketings, more than the cap of {cap}",
-            required=total, limit=cap, level=n)
+    from .insertion import catalan  # insertion imports this module
+
+    total = catalan(n, p)
+    require_cap(total, max_count, DEFAULT_MAX_BRACKETINGS,
+                f"level {n} holds {total} bracketings", level=n)
     return list(_level(n, p))
 
 
@@ -163,7 +171,7 @@ def parse_bracketing(text: str, p: int, format: str = "prefix") -> Bracketing:
     Prefix notation uses ``w`` for the operation symbol and ``x`` for the
     variable; infix notation (binary only) uses parentheses and ``x``.
     """
-    _check_arity(p)
+    check_int(p, "arity", 2)
     if format == "prefix":
         return _parse_prefix(text, p)
     if format == "infix":
@@ -243,82 +251,44 @@ def render_bracketing(t: Bracketing, format: str = "prefix") -> str:
 
 
 class LabeledBracketing:
-    """A bracketing whose leaves carry consecutive variable indices."""
+    """A bracketing whose leaves carry the consecutive indices ``start, start+1, ...``."""
 
-    __slots__ = ("arity", "children", "index", "_hash")
+    __slots__ = ("bracketing", "start")
 
-    def __init__(self, arity: int, children: tuple["LabeledBracketing", ...],
-                 index: int | None = None):
-        self.arity = arity
-        self.children = children
-        self.index = index
-        self._hash = hash((arity, children, index))
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    def __init__(self, bracketing: Bracketing, start: int):
+        self.bracketing = bracketing
+        self.start = start
 
     def labels(self) -> tuple[int, ...]:
         """Leaf indices in left-to-right order."""
-        out: list[int] = []
-        stack = [self]
-        while stack:
-            s = stack.pop()
-            if s.is_leaf:
-                out.append(s.index)
-            else:
-                stack.extend(reversed(s.children))
-        return tuple(out)
+        return tuple(range(self.start, self.start + self.bracketing.length))
 
     def shape(self) -> Bracketing:
         """The underlying unlabeled bracketing."""
-        if self.is_leaf:
-            return leaf(self.arity)
-        return node(*(c.shape() for c in self.children))
+        return self.bracketing
 
     def render(self) -> str:
-        out: list[str] = []
-        stack = [self]
-        while stack:
-            s = stack.pop()
-            if s.is_leaf:
-                out.append(f"x{s.index}")
-            else:
-                out.append("w")
-                stack.extend(reversed(s.children))
-        return "".join(out)
+        labels = iter(self.labels())
+        return "".join("w" if ch == "w" else f"x{next(labels)}"
+                       for ch in _word_of(self.bracketing))
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, LabeledBracketing):
             return NotImplemented
-        return (self.arity, self.index, self.children) == (other.arity, other.index, other.children)
+        return (self.bracketing, self.start) == (other.bracketing, other.start)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.bracketing, self.start))
 
     def __repr__(self):
-        return f"LabeledBracketing(p={self.arity}, {self.render()!r})"
+        return f"LabeledBracketing(p={self.bracketing.arity}, {self.render()!r})"
 
 
 def enumerate_leaves(t: Bracketing, j: int = 1) -> LabeledBracketing:
     """Label the leaves of ``t`` with ``j, j+1, ...`` in left-to-right order."""
     if j < 1:
         raise ValueError(f"leaf labels start at a positive index, got {j}")
-
-    def rec(s: Bracketing, start: int) -> tuple[LabeledBracketing, int]:
-        if s.is_leaf:
-            return LabeledBracketing(s.arity, (), start), start + 1
-        kids = []
-        pos = start
-        for c in s.children:
-            lb, pos = rec(c, pos)
-            kids.append(lb)
-        return LabeledBracketing(s.arity, tuple(kids)), pos
-
-    labeled, _ = rec(t, j)
-    return labeled
+    return LabeledBracketing(t, j)
 
 
 def left_lengths(t: Bracketing, k: int) -> tuple[int, ...]:
@@ -377,7 +347,7 @@ def left_right_depth(t: Bracketing) -> tuple[int, int]:
 
 def left_associated(n: int, p: int) -> Bracketing:
     """The bracketing whose prefix word is ``n`` operation symbols, then all variables."""
-    _check_arity(p)
+    check_int(p, "arity", 2)
     if n < 0:
         raise ValueError(f"occurrence number must be nonnegative, got {n}")
     t = leaf(p)

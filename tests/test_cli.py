@@ -55,6 +55,11 @@ class TestEnum:
             main(["enum", "--p", "2"])
         assert exc.value.code == 2
 
+    def test_negative_cap_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "enum", "--p", "2", "--n", "3",
+                             "--max-bracketings", "-1")
+        assert code == 2 and out == "" and "cap" in err
+
 
 class TestCount:
     def test_catalan(self, capsys):

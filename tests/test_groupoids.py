@@ -1,7 +1,9 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import assocspectra as a
 from assocspectra import CapExceededError, Groupoid, Partition, SchemaError, SpectrumPrefix
@@ -53,6 +55,33 @@ def subgroupoid(g, subset):
     return Groupoid(g.arity, len(subset), table)
 
 
+@st.composite
+def bracketings(draw, arity, max_occ):
+    n = draw(st.integers(0, max_occ))
+    u, prev = [], 1
+    for i in range(1, n + 1):
+        prev = draw(st.integers(prev, (arity - 1) * (i - 1) + 1))
+        u.append(prev)
+    return a.from_tuple(u, arity)
+
+
+@st.composite
+def groupoids_and_terms(draw):
+    p = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(1, 3))
+    table = draw(st.lists(st.integers(0, size - 1), min_size=size ** p, max_size=size ** p))
+    return Groupoid(p, size, table), draw(bracketings(p, 3))
+
+
+def ring_closed_form(ring, t, args):
+    """``(3Y)^dl * x_first + (2Y)^dr * x_last`` for a binary bracketing with dl, dr >= 1."""
+    dl, dr = a.left_right_depth(t)
+    first, last = ring.element(args[0]), ring.element(args[-1])
+    return tuple((pow(3, dl, 6) * (first[d - dl] if d >= dl else 0)
+                  + pow(2, dr, 6) * (last[d - dr] if d >= dr else 0)) % 6
+                 for d in range(ring.truncation))
+
+
 def mirror(g):
     assert g.arity == 2
     table = [g.apply(y, x) for x in range(g.size) for y in range(g.size)]
@@ -96,6 +125,17 @@ class TestLoadGroupoid:
         for g in (a.gallery("egg7"), a.gallery("sheffer"), a.gallery("polyk", k=2)):
             assert a.load_groupoid(a.dump_groupoid(g)) == g
 
+    @pytest.mark.parametrize("p", [200000, 10**9])
+    def test_oversized_arity_rejected_before_the_power(self, p):
+        for build, error in ((lambda: a.load_groupoid({"p": p, "size": 7, "table": [0]}),
+                              SchemaError),
+                             (lambda: Groupoid(p, 7, [0]), ValueError)):
+            start = time.perf_counter()
+            with pytest.raises(error) as exc:
+                build()
+            assert time.perf_counter() - start < 0.5
+            assert len(str(exc.value)) < 100
+
 
 class TestEvalTerm:
     def test_egg4_square(self):
@@ -120,6 +160,16 @@ class TestEvalTerm:
             a.eval_term(g, a.leaf(2), (0, 1))
         with pytest.raises(ValueError):
             a.eval_term(g, a.leaf(2), (9,))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_deep_left_associated(self, p):
+        t = a.left_associated(3000, p)
+        assert a.eval_term(Groupoid(p, 1, [0]), t, (0,) * t.length) == 0
+        if p == 2:
+            # const_assoc:3 is min(x + y, 2), so any bracketing gives min(sum, 2)
+            g = a.gallery("const_assoc", m=3)
+            assert a.eval_term(g, t, (1,) + (0,) * (t.length - 1)) == 1
+            assert a.eval_term(g, t, (0,) * (t.length - 1) + (2,)) == 2
 
 
 class TestTermFunction:
@@ -157,6 +207,24 @@ class TestTermFunction:
         g = a.gallery("egg7")
         with pytest.raises(CapExceededError):
             a.term_function(g, a.left_associated(8, 2), max_cells=1000)
+
+    @pytest.mark.parametrize("cap", [-1, 1.5])
+    def test_cap_must_be_a_nonnegative_int(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            a.term_function(a.gallery("egg4"), a.left_associated(2, 2), max_cells=cap)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_deep_left_associated(self, p):
+        tf = a.term_function(Groupoid(p, 1, [0]), a.left_associated(3000, p))
+        assert tf.values.tolist() == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(groupoids_and_terms())
+    def test_tabulation_matches_eval_term(self, gt):
+        g, t = gt
+        tf = a.term_function(g, t)
+        for args in itertools.product(range(g.size), repeat=t.length):
+            assert tf(*args) == a.eval_term(g, t, args)
 
     def test_equality_semantics(self):
         g = a.gallery("polyk", k=1)
@@ -197,6 +265,14 @@ class TestFineLevel:
         with pytest.raises(CapExceededError) as exc:
             a.fine_level(a.gallery("egg7"), 5, max_cells=10)
         assert exc.value.required == 7 ** 6 * 42
+
+    @pytest.mark.parametrize("cap", [-1, 1.5])
+    def test_cap_must_be_a_nonnegative_int(self, cap):
+        g = a.gallery("egg4")
+        with pytest.raises(ValueError, match="cap"):
+            a.fine_level(g, 3, max_cells=cap)
+        with pytest.raises(ValueError, match="cap"):
+            a.fine_level(g, 3, max_count=cap)
 
 
 class TestAssocSpectrum:
@@ -268,6 +344,11 @@ class TestDirectProduct:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             a.direct_product(a.gallery("egg4"), Groupoid(3, 1, [0]))
+
+    @pytest.mark.parametrize("cap", [-1, 1.5])
+    def test_cap_must_be_a_nonnegative_int(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            a.direct_product(a.gallery("sheffer"), a.gallery("egg4"), max_cells=cap)
 
     def test_encoding(self):
         g, h = a.gallery("sheffer"), a.gallery("egg4")
@@ -390,6 +471,20 @@ class TestTruncatedRing:
     def test_truncation_required_positive(self):
         with pytest.raises(ValueError):
             a.TruncatedRing(0)
+
+    def test_eval_term_deep_left_associated(self):
+        ring = a.TruncatedRing(16)
+        t = a.left_associated(3000, 2)
+        args = [ring.monomial(i % 16, i % 5 + 1) for i in range(t.length)]
+        assert ring.eval_term(t, args) == ring_closed_form(ring, t, args)
+
+    @given(st.data())
+    def test_eval_term_matches_depth_closed_form(self, data):
+        ring = a.TruncatedRing(8)
+        t = data.draw(bracketings(2, ring.truncation - 1).filter(lambda t: t.occ > 0))
+        element = st.lists(st.integers(0, 5), min_size=ring.truncation, max_size=ring.truncation)
+        args = data.draw(st.lists(element, min_size=t.length, max_size=t.length))
+        assert ring.eval_term(t, args) == ring_closed_form(ring, t, args)
 
 
 class TestRingClosedFormCheck:

@@ -122,6 +122,11 @@ class TestEnumerateM:
         with pytest.raises(CapExceededError):
             a.enumerate_m(12, 4, 3, max_count=100)
 
+    @pytest.mark.parametrize("cap", [-1, 1.5])
+    def test_cap_must_be_a_nonnegative_int(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            a.enumerate_m(3, 2, 2, max_count=cap)
+
 
 class TestCountM:
     def test_examples(self):

@@ -77,6 +77,11 @@ class TestPartition:
         pi = Partition.from_key(3, 2, lambda u: u[-1])
         assert pi.num_classes == 3  # last entries 1, 2, 3
 
+    @pytest.mark.parametrize("cap", [-1, 1.5])
+    def test_cap_must_be_a_nonnegative_int(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            Partition.full(3, 2, max_count=cap)
+
 
 class TestGammaBeta:
     def test_gamma_examples(self):
@@ -115,6 +120,11 @@ class TestGammaBeta:
             for t in a.enumerate_bracketings(n, 3):
                 assert a.gamma(t, 1).occ == n + 1
                 assert a.beta(t, t.length).occ == n + 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_beta_deep_left_associated(self, p):
+        t = a.left_associated(3000, p)
+        assert a.to_tuple(a.beta(t, 1)) == a.beta_update(a.to_tuple(t), 1, p)
 
 
 class TestDelta:

@@ -98,6 +98,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             a.enumerate_bracketings(-1, 2)
 
+    @pytest.mark.parametrize("cap", [-1, 1.5])
+    def test_cap_must_be_a_nonnegative_int(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            a.enumerate_bracketings(3, 2, max_count=cap)
+
 
 class TestParseRender:
     def test_prefix_examples(self):
@@ -188,6 +193,11 @@ class TestEnumerateLeaves:
     def test_bad_start(self):
         with pytest.raises(ValueError):
             a.enumerate_leaves(a.leaf(2), 0)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_deep_left_associated(self, p):
+        t = a.left_associated(3000, p)
+        assert a.enumerate_leaves(t, 5).labels() == tuple(range(5, 5 + t.length))
 
 
 class TestLeftLengths:
