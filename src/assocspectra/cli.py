@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 from .errors import CapExceededError, UnsupportedOperationError
 from .groupoids import (
@@ -53,7 +54,7 @@ def cmd_count(args) -> int:
         if args.k is None:
             raise ValueError("count m needs --k")
         value = count_m(args.n, args.k, args.p)
-    print(value)
+    print(Decimal(value))  # str() of an int stops at the interpreter's digit limit
     return 0
 
 

@@ -37,17 +37,45 @@ def check_int(value, name: str, minimum: int, error: type[ValueError] = ValueErr
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+_SHOWN_BITS = 10_000  # str() refuses ints past the interpreter's digit limit (4300 by default)
+
+
+def _show(x: int) -> str:
+    return str(x) if x.bit_length() < _SHOWN_BITS else f"at least 2**{x.bit_length() - 1}"
+
+
 def require_cap(required: int, cap: int | None, default: int, what: str,
                 level: int | None = None) -> None:
     """Raise :class:`CapExceededError` when ``required`` exceeds ``cap``.
 
     ``cap`` of ``None`` means ``default``; any other cap must be a
     nonnegative ``int`` and is checked before it is compared.  ``what``
-    states the need, e.g. ``"level 3 holds 5 bracketings"``.
+    states the need with ``{}`` for its size, e.g.
+    ``"level 3 holds {} bracketings"``.
     """
     if cap is None:
         cap = default
     check_int(cap, "cap", 0)
     if required > cap:
-        raise CapExceededError(f"{what}, more than the cap of {cap}",
+        raise CapExceededError(f"{what.format(_show(required))}, more than the cap of {_show(cap)}",
                                required=required, limit=cap, level=level)
+
+
+def require_level_cap(n: int, count, cap: int | None, default: int, what: str,
+                      level: int | None = None) -> int:
+    """:func:`require_cap` for ``count()``, a need over occurrence number ``n``; returns it.
+
+    Every level size, tuple family ``M(n, k, p)`` and level cell count is at
+    least ``2**(n-1)`` for ``n >= 1``.  When that bound alone exceeds the cap
+    and is too large to print (``n > 10000``), the need is refused before
+    ``count()`` runs, and the error holds ``required=None``.
+    """
+    if cap is None:
+        cap = default
+    check_int(cap, "cap", 0)
+    if n > _SHOWN_BITS and n - 1 > cap.bit_length():
+        raise CapExceededError(f"{what.format(f'at least 2**{n - 1}')}, more than the cap of "
+                               f"{_show(cap)}", limit=cap, level=level)
+    required = count()
+    require_cap(required, cap, default, what, level)
+    return required

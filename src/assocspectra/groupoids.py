@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, SchemaError, check_int, require_cap
-from .insertion import _level_rank, _level_tuples, catalan, from_tuple, to_tuple
+from .errors import CapExceededError, SchemaError, check_int, require_cap, require_level_cap
+from .insertion import catalan
 from .spectra import Partition, SpectrumPrefix, verify_closed
 from .terms import (
     Bracketing,
     _fold,
+    _level,
     enumerate_bracketings,
     leaf,
     left_right_depth,
@@ -28,6 +29,7 @@ from .terms import (
 )
 
 DEFAULT_MAX_CELLS = 2 * 10**8
+_MAX_ARITY = 63  # numpy takes at most 63 index arrays; tabulating level 1 needs p of them
 
 
 class Groupoid:
@@ -41,6 +43,8 @@ class Groupoid:
 
     def __init__(self, arity: int, size: int, table, names=None):
         check_int(arity, "arity", 2)
+        if arity > _MAX_ARITY:
+            raise ValueError(f"arity {arity} is above {_MAX_ARITY}, the most that can be tabulated")
         check_int(size, "carrier size", 1)
         table = tuple(int(e) for e in table)
         # size**arity > len(table) once 2**arity does; never form a giant power
@@ -199,17 +203,15 @@ def term_function(g: Groupoid, t: Bracketing, *, max_cells: int | None = None) -
     """Tabulate the function induced by ``t`` over all argument tuples."""
     if t.arity != g.arity:
         raise ValueError(f"bracketing arity {t.arity} does not match groupoid arity {g.arity}")
-    cells = g.size ** t.length
-    require_cap(cells, max_cells, DEFAULT_MAX_CELLS, f"term table needs {cells} cells")
+    require_cap(g.size ** t.length, max_cells, DEFAULT_MAX_CELLS, "term table needs {} cells")
     return TermFunction(t.occ, g.arity, g.size, _Tabulator(g).values(t))
 
 
 def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
                max_count: int | None = None) -> Partition:
     """Partition level ``n`` by equality of induced term functions."""
-    cells = g.size ** ((g.arity - 1) * n + 1) * catalan(n, g.arity)
-    require_cap(cells, max_cells, DEFAULT_MAX_CELLS, f"level {n} needs {cells} table cells",
-                level=n)
+    require_level_cap(n, lambda: g.size ** ((g.arity - 1) * n + 1) * catalan(n, g.arity),
+                      max_cells, DEFAULT_MAX_CELLS, f"level {n} needs {{}} table cells", level=n)
     trees = enumerate_bracketings(n, g.arity, max_count=max_count)
     tab = _Tabulator(g)
     groups: dict[bytes, int] = {}
@@ -250,7 +252,7 @@ def direct_product(g: Groupoid, h: Groupoid, *, max_cells: int | None = None) ->
         raise ValueError(f"arity mismatch: {g.arity} vs {h.arity}")
     p = g.arity
     size = g.size * h.size
-    require_cap(size ** p, max_cells, DEFAULT_MAX_CELLS, f"product table needs {size ** p} cells")
+    require_cap(size ** p, max_cells, DEFAULT_MAX_CELLS, "product table needs {} cells")
     table = []
     for combo in itertools.product(range(size), repeat=p):
         a = g.apply(*(c // h.size for c in combo))
@@ -284,18 +286,14 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
         raise ValueError(f"prefix is not closed (violation at level {report.level})")
     representatives: list[Bracketing] = []
     names: list[str] = []
-    element: dict[tuple[int, int], int] = {}
+    element: dict[Bracketing, int] = {}  # every bracketing below the cut -> its class
     for m in range(cut):
-        pi = sigma.partitions[m]
-        uni = _level_tuples(m, p)
-        firsts: dict[int, int] = {}
-        for r, c in enumerate(pi.class_of):
-            firsts.setdefault(c, r)
-        for c in range(pi.num_classes):
-            element[(m, c)] = len(representatives)
-            rep = from_tuple(uni[firsts[c]], p)
-            representatives.append(rep)
-            names.append(f"[{render_bracketing(rep)}]")
+        base = len(representatives)
+        for t, c in zip(_level(m, p), sigma.partitions[m].class_of):
+            if base + c == len(representatives):  # class ids count up by first appearance
+                representatives.append(t)
+                names.append(f"[{render_bracketing(t)}]")
+            element[t] = base + c
     star = len(representatives)
     names.append("*")
     size = star + 1
@@ -305,11 +303,7 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
             table.append(star)
             continue
         t = node(*(representatives[e] for e in combo))
-        if t.occ >= cut:
-            table.append(star)
-        else:
-            r = _level_rank(t.occ, p)[to_tuple(t)]
-            table.append(element[(t.occ, sigma.partitions[t.occ].class_of[r])])
+        table.append(star if t.occ >= cut else element[t])
     return Groupoid(p, size, table, names)
 
 

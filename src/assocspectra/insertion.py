@@ -3,35 +3,34 @@
 The insertion tuple of a bracketing records, for each operation symbol in
 prefix order, one plus the number of variables occurring before it.  This is
 a bijection between the level of occurrence number ``n`` and the weakly
-increasing n-tuples with ``u_i <= (p - 1)*(i - 1) + 1``.  Relaxing the bound
-offset from 1 to ``k`` yields the counted family ``M(n, k, p)``; all counts
-are exact unbounded integers.
+increasing n-tuples with ``u_i <= (p - 1)*(i - 1) + 1``; it is computed from
+and to prefix words, and the levels themselves are stored and ranked by
+:mod:`assocspectra.terms` alone.  Relaxing the bound offset from 1 to ``k``
+yields the counted family ``M(n, k, p)``; all counts are exact unbounded
+integers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Iterator
 
-from .errors import ParseError, check_int, require_cap
-from .terms import DEFAULT_MAX_BRACKETINGS, Bracketing, parse_bracketing
+from .errors import ParseError, check_int, require_level_cap
+from .terms import DEFAULT_MAX_BRACKETINGS, Bracketing, _word_of, parse_bracketing
 
 
 def to_tuple(t: Bracketing) -> tuple[int, ...]:
-    """Insertion tuple of ``t``; the empty tuple for the single variable."""
-    entries: list[int] = []
-    seen_x = 0
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if s.is_leaf:
-            seen_x += 1
-        else:
-            entries.append(seen_x + 1)
-            stack.extend(reversed(s.children))
-    return tuple(entries)
+    """Insertion tuple of ``t``; the empty tuple for the single variable.
+
+    Read off the prefix word: entry ``i + 1`` exceeds entry ``i`` by the
+    number of variables between the i-th and the next operation symbol.
+    """
+    runs = _word_of(t).split("w")
+    if len(runs) == 1:
+        return ()
+    return tuple(accumulate(map(len, runs[1:-1]), initial=1))
 
 
 def _check_member(u: tuple[int, ...], p: int, k: int) -> None:
@@ -106,8 +105,8 @@ def _check_mkp_args(n: int, k: int, p: int) -> None:
 def enumerate_m(n: int, k: int, p: int, *, max_count: int | None = None) -> list[tuple[int, ...]]:
     """All weakly increasing n-tuples with ``u_i <= (p-1)*(i-1) + k``, lexicographically."""
     _check_mkp_args(n, k, p)
-    total = count_m(n, k, p)
-    require_cap(total, max_count, DEFAULT_MAX_BRACKETINGS, f"M({n},{k},{p}) holds {total} tuples")
+    require_level_cap(n, lambda: count_m(n, k, p), max_count, DEFAULT_MAX_BRACKETINGS,
+                      f"M({n},{k},{p}) holds {{}} tuples")
     return list(_iter_m(n, k, p))
 
 
@@ -127,18 +126,6 @@ def count_m(n: int, k: int, p: int) -> int:
 def catalan(n: int, p: int) -> int:
     """Number of bracketings with occurrence number ``n``: ``C(pn, n)/((p-1)n + 1)``."""
     return count_m(n, 1, p)
-
-
-@lru_cache(maxsize=None)
-def _level_tuples(n: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Insertion tuples of one level, in canonical (lexicographic) order."""
-    return tuple(_iter_m(n, 1, p))
-
-
-@lru_cache(maxsize=None)
-def _level_rank(n: int, p: int) -> dict[tuple[int, ...], int]:
-    """Canonical rank of each insertion tuple of one level."""
-    return {u: r for r, u in enumerate(_level_tuples(n, p))}
 
 
 def format_tuple(u) -> str:

@@ -14,31 +14,19 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError, require_cap
-from .insertion import (
-    _level_rank,
-    _level_tuples,
-    beta_update,
-    catalan,
-    format_tuple,
-    parse_tuple,
-)
+from .errors import ParseError
+from .insertion import catalan, format_tuple, parse_tuple, to_tuple
 from .terms import (
-    DEFAULT_MAX_BRACKETINGS,
     Bracketing,
+    _level,
+    _level_size,
+    _word_of,
     egg_pairs,
     enumerate_bracketings,
     leaf,
     left_lengths,
     node,
 )
-
-
-def _guarded_size(level: int, arity: int, max_count: int | None) -> int:
-    size = catalan(level, arity)
-    require_cap(size, max_count, DEFAULT_MAX_BRACKETINGS,
-                f"level {level} holds {size} bracketings", level=level)
-    return size
 
 
 class Partition:
@@ -72,19 +60,19 @@ class Partition:
     @classmethod
     def equality(cls, level: int, arity: int, *, max_count: int | None = None) -> "Partition":
         """Every bracketing in its own class."""
-        return cls(level, arity, range(_guarded_size(level, arity, max_count)))
+        return cls(level, arity, range(_level_size(level, arity, max_count)))
 
     @classmethod
     def full(cls, level: int, arity: int, *, max_count: int | None = None) -> "Partition":
         """One class holding the whole level."""
-        return cls(level, arity, [0] * _guarded_size(level, arity, max_count))
+        return cls(level, arity, [0] * _level_size(level, arity, max_count))
 
     @classmethod
     def from_key(cls, level: int, arity: int, key: Callable, *,
                  max_count: int | None = None) -> "Partition":
         """Group the level by a key function on insertion tuples."""
-        _guarded_size(level, arity, max_count)
-        return cls(level, arity, [key(u) for u in _level_tuples(level, arity)])
+        trees = enumerate_bracketings(level, arity, max_count=max_count)
+        return cls(level, arity, [key(to_tuple(t)) for t in trees])
 
     @property
     def size(self) -> int:
@@ -238,35 +226,32 @@ def delta(pi: Partition) -> Partition:
 
     Two level-(n+1) bracketings end up together exactly when they are
     connected through operator images of related pairs.  Images are computed
-    on insertion tuples; no trees are built.  Every level-(n+1) bracketing is
-    an image, which is asserted rather than assumed.
+    on prefix words and ranked by the level-(n+1) words; no trees are built.
+    ``gamma_i`` wraps a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and
+    ``beta_j`` replaces its j-th ``x`` by ``"w" + "x"*p``.  Every
+    level-(n+1) bracketing is an image, which is asserted rather than assumed.
     """
     n, p = pi.level, pi.arity
-    src = _level_tuples(n, p)
-    dst_rank = _level_rank(n + 1, p)
-    dst_size = len(dst_rank)
-    uf = _UnionFind(dst_size)
-    touched = bytearray(dst_size)
+    rank = {_word_of(t): r for r, t in enumerate(_level(n + 1, p))}
+    uf = _UnionFind(len(rank))
+    touched = bytearray(len(rank))
     n_ops = p + (p - 1) * n + 1
-    for op in range(n_ops):
-        first: dict[int, int] = {}
-        for r, u in enumerate(src):
-            if op < p:
-                # wrapping as child op+1 shifts every entry by the op leading leaves
-                image = (1, *(e + op for e in u))
-            else:
-                image = beta_update(u, op - p + 1, p)
-            ir = dst_rank[image]
+    xs = "x" * (p - 1)
+    grow = "w" + xs
+    first: dict[int, int] = {}  # first image of each (class, operator)
+    for t, c in zip(_level(n, p), pi.class_of):
+        w = _word_of(t)
+        images = ["w" + xs[:i] + w + xs[i:] for i in range(p)]
+        images += [w[:j] + grow + w[j:] for j, ch in enumerate(w) if ch == "x"]
+        for key, image in enumerate(images, start=c * n_ops):
+            ir = rank[image]
             touched[ir] = 1
-            c = pi.class_of[r]
-            anchor = first.get(c)
-            if anchor is None:
-                first[c] = ir
-            else:
+            anchor = first.setdefault(key, ir)
+            if anchor != ir:
                 uf.union(anchor, ir)
     if not all(touched):
         raise AssertionError(f"some level-{n + 1} bracketing is not an operator image")
-    return Partition(n + 1, p, [uf.find(r) for r in range(dst_size)])
+    return Partition(n + 1, p, [uf.find(r) for r in range(len(rank))])
 
 
 @dataclass(frozen=True)
@@ -289,8 +274,8 @@ def verify_closed(sigma: SpectrumPrefix) -> ClosureReport:
         pushed = delta(sigma.partitions[n])
         witness = _refinement_witness(pushed, sigma.partitions[n + 1])
         if witness is not None:
-            uni = _level_tuples(n + 1, sigma.arity)
-            return ClosureReport(False, n, (uni[witness[0]], uni[witness[1]]))
+            trees = _level(n + 1, sigma.arity)
+            return ClosureReport(False, n, tuple(to_tuple(trees[r]) for r in witness))
     return ClosureReport(True)
 
 
@@ -368,10 +353,7 @@ def tail_tuple_sigma(n: int, k: int, p: int, *, max_count: int | None = None) ->
     """Group a level by the last ``k`` insertion-tuple entries; equality below level ``k``."""
     if k < 1:
         raise ValueError(f"need at least one tail entry, got k={k}")
-    size = _guarded_size(n, p, max_count)
-    if n < k:
-        return Partition(n, p, range(size))
-    return Partition(n, p, [u[n - k:] for u in _level_tuples(n, p)])
+    return Partition.from_key(n, p, lambda u: u[max(n - k, 0):], max_count=max_count)
 
 
 def dldr_sigma(n: int, *, max_count: int | None = None) -> Partition:
@@ -380,13 +362,9 @@ def dldr_sigma(n: int, *, max_count: int | None = None) -> Partition:
     Both depths are read off the insertion tuple: entries equal to 1 feed the
     left depth, entries at their upper bound feed the right depth.
     """
-    _guarded_size(n, 2, max_count)
-    labels = []
-    for u in _level_tuples(n, 2):
-        dl = sum(1 for e in u if e == 1)
-        dr = sum(1 for q, e in enumerate(u, start=1) if e == q)
-        labels.append((dl, dr))
-    return Partition(n, 2, labels)
+    return Partition.from_key(
+        n, 2, lambda u: (u.count(1), sum(e == q for q, e in enumerate(u, start=1))),
+        max_count=max_count)
 
 
 def coatom_census(p: int, *, max_count: int | None = None) -> int:
@@ -419,10 +397,10 @@ _CLASS_RE = re.compile(r"class (\d+):\s*(.*)$")
 
 def format_partition(pi: Partition) -> str:
     """Render a partition block: a header line, then one line per class."""
-    uni = _level_tuples(pi.level, pi.arity)
+    trees = _level(pi.level, pi.arity)
     lines = [f"level={pi.level} p={pi.arity} classes={pi.num_classes}"]
     for cid, ranks in enumerate(pi.classes()):
-        lines.append(f"class {cid}: " + " ".join(format_tuple(uni[r]) for r in ranks))
+        lines.append(f"class {cid}: " + " ".join(format_tuple(to_tuple(trees[r])) for r in ranks))
     return "\n".join(lines)
 
 
@@ -437,7 +415,8 @@ def parse_partition(text: str) -> Partition:
     level, p, n_classes = (int(g) for g in m.groups())
     if p < 2:
         raise ParseError(f"arity in header must be at least 2, got {p}")
-    rank = _level_rank(level, p)
+    # the default cap is checked before the level is built
+    rank = {to_tuple(t): r for r, t in enumerate(enumerate_bracketings(level, p))}
     if len(lines) - 1 != n_classes:
         raise ParseError(f"header announces {n_classes} classes, found {len(lines) - 1} lines")
     labels: dict[int, int] = {}

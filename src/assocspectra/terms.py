@@ -9,7 +9,9 @@ Each level (all bracketings of one occurrence number) is enumerated in a
 canonical order: lexicographic on prefix words with ``w`` sorting before
 ``x``.  This coincides with lexicographic order on insertion tuples, since
 the first differing prefix symbol puts the next operation symbol after
-strictly fewer variables on the ``w`` side.
+strictly fewer variables on the ``w`` side.  This module alone stores a
+level: ``_level`` keeps its interned trees in canonical order, and each
+tree's cached prefix word (``_word_of``) is its rank key.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import ParseError, check_int, require_cap
+from .errors import ParseError, check_int, require_level_cap
 
 DEFAULT_MAX_BRACKETINGS = 10**6
 
@@ -152,16 +154,20 @@ def _level(n: int, p: int) -> tuple[Bracketing, ...]:
     return tuple(out)
 
 
-def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> list[Bracketing]:
-    """All bracketings with occurrence number ``n``, once each, in canonical order."""
+def _level_size(n: int, p: int, max_count: int | None) -> int:
+    """Number of bracketings with occurrence number ``n``, refused above the cap."""
     check_int(p, "arity", 2)
     if n < 0:
         raise ValueError(f"occurrence number must be nonnegative, got {n}")
     from .insertion import catalan  # insertion imports this module
 
-    total = catalan(n, p)
-    require_cap(total, max_count, DEFAULT_MAX_BRACKETINGS,
-                f"level {n} holds {total} bracketings", level=n)
+    return require_level_cap(n, lambda: catalan(n, p), max_count, DEFAULT_MAX_BRACKETINGS,
+                             f"level {n} holds {{}} bracketings", level=n)
+
+
+def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> list[Bracketing]:
+    """All bracketings with occurrence number ``n``, once each, in canonical order."""
+    _level_size(n, p, max_count)
     return list(_level(n, p))
 
 

@@ -60,6 +60,10 @@ class TestEnum:
                              "--max-bracketings", "-1")
         assert code == 2 and out == "" and "cap" in err
 
+    def test_huge_level_is_a_cap_error(self, capsys):
+        code, out, err = run(capsys, "enum", "--p", "2", "--n", "20000")
+        assert code == 3 and out == "" and "at least 2**19999" in err
+
 
 class TestCount:
     def test_catalan(self, capsys):
@@ -69,6 +73,15 @@ class TestCount:
     def test_m(self, capsys):
         assert run(capsys, "count", "m", "--p", "2", "--n", "0", "--k", "9") == (0, "1\n", "")
         assert run(capsys, "count", "m", "--p", "2", "--n", "2", "--k", "2") == (0, "5\n", "")
+
+    def test_prints_counts_past_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "count", "catalan", "--p", "2", "--n", "10000")
+        digits = out.strip()
+        value = a.catalan(10000, 2)
+        assert code == 0 and err == "" and digits.isdigit()
+        assert 10 ** (len(digits) - 1) <= value < 10 ** len(digits)
+        assert int(digits[:40]) == value // 10 ** (len(digits) - 40)
+        assert int(digits[-40:]) == value % 10 ** 40
 
     def test_m_needs_k(self, capsys):
         code, _, err = run(capsys, "count", "m", "--p", "2", "--n", "2")
@@ -131,6 +144,11 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", path, "--max-n", "2")
         assert code == 2 and "table" in err
 
+    def test_arity_above_63_is_a_schema_error(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"p": 64, "size": 1, "table": [0]})
+        code, out, err = run(capsys, "spectrum", path, "--max-n", "2")
+        assert code == 2 and out == "" and "arity" in err
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -182,6 +200,12 @@ class TestVerify:
         assert (code, out) == (0, "CLOSED\n")
         code, _, _ = run(capsys, "verify", "--file", str(path), "--max-n", "9")
         assert code == 2
+
+    def test_huge_header_is_a_cap_error(self, capsys, tmp_path):
+        path = tmp_path / "sigma.txt"
+        path.write_text("level=200000 p=2 classes=1\nclass 0: (1)\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == 3 and out == "" and "cap" in err
 
     def test_sigma_a_trimmed_by_max_n(self, capsys):
         code, out, _ = run(capsys, "verify", "--builtin", "sigma_a:0000010", "--max-n", "4")

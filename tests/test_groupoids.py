@@ -136,6 +136,17 @@ class TestLoadGroupoid:
             assert time.perf_counter() - start < 0.5
             assert len(str(exc.value)) < 100
 
+    @pytest.mark.parametrize("p", [64, 10**9])
+    def test_arity_above_63_rejected(self, p):
+        # 64 index arrays are more than numpy accepts; 10**9 would build a 10**9-long shape
+        with pytest.raises(ValueError, match="arity"):
+            Groupoid(p, 1, [0])
+        with pytest.raises(SchemaError, match="arity"):
+            a.load_groupoid({"p": p, "size": 1, "table": [0]})
+
+    def test_arity_63_tabulates(self):
+        assert a.assoc_spectrum(Groupoid(63, 1, [0]), 2) == [1, 1, 1]
+
 
 class TestEvalTerm:
     def test_egg4_square(self):
@@ -265,6 +276,11 @@ class TestFineLevel:
         with pytest.raises(CapExceededError) as exc:
             a.fine_level(a.gallery("egg7"), 5, max_cells=10)
         assert exc.value.required == 7 ** 6 * 42
+
+    def test_huge_level_refused_from_its_lower_bound(self):
+        with pytest.raises(CapExceededError) as exc:
+            a.fine_level(a.gallery("egg4"), 200000)
+        assert exc.value.required is None and exc.value.level == 200000
 
     @pytest.mark.parametrize("cap", [-1, 1.5])
     def test_cap_must_be_a_nonnegative_int(self, cap):

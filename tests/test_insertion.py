@@ -127,6 +127,11 @@ class TestEnumerateM:
         with pytest.raises(ValueError, match="cap"):
             a.enumerate_m(3, 2, 2, max_count=cap)
 
+    def test_huge_family_refused_from_its_lower_bound(self):
+        with pytest.raises(CapExceededError) as exc:
+            a.enumerate_m(200000, 3, 2)
+        assert exc.value.required is None and "at least 2**199999 tuples" in str(exc.value)
+
 
 class TestCountM:
     def test_examples(self):

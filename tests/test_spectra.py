@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import assocspectra as a
-from assocspectra import ParseError, Partition, SpectrumPrefix
+from assocspectra import CapExceededError, ParseError, Partition, SpectrumPrefix
 
 
 def delta_by_trees(pi):
@@ -155,6 +155,17 @@ class TestDelta:
             pi = random_partition(rng.randrange(1, 5), 2, rng)
             assert a.delta(pi) == delta_by_trees(pi)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_tree_oracle_property(self, data):
+        p = data.draw(st.sampled_from([2, 3, 4]))
+        level = data.draw(st.integers(0, {2: 5, 3: 4, 4: 3}[p]))
+        size = a.catalan(level, p)
+        k = data.draw(st.integers(1, size))
+        pi = Partition(level, p, data.draw(
+            st.lists(st.integers(0, k - 1), min_size=size, max_size=size)))
+        assert a.delta(pi) == delta_by_trees(pi)
+
     def test_total_output(self):
         for n in range(5):
             out = a.delta(a.tau(n))
@@ -209,8 +220,7 @@ class TestVerifyClosed:
         report = a.verify_closed(SpectrumPrefix(parts))
         s, t = report.witness
         pushed = a.delta(Partition.full(4, 2))
-        from assocspectra.insertion import _level_rank
-        rank = _level_rank(5, 2)
+        rank = {a.to_tuple(u): r for r, u in enumerate(a.enumerate_bracketings(5, 2))}
         assert pushed.class_of[rank[s]] == pushed.class_of[rank[t]]
 
 
@@ -486,6 +496,11 @@ class TestTextFormats:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             a.parse_partition(bad)
+
+    @pytest.mark.parametrize("level", [40, 200000])
+    def test_huge_header_refused_before_the_level_is_built(self, level):
+        with pytest.raises(CapExceededError):
+            a.parse_partition(f"level={level} p=2 classes=1\nclass 0: (1)")
 
     def test_prefix_needs_blocks(self):
         with pytest.raises(ParseError):

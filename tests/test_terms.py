@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +103,21 @@ class TestEnumerate:
     def test_cap_must_be_a_nonnegative_int(self, cap):
         with pytest.raises(ValueError, match="cap"):
             a.enumerate_bracketings(3, 2, max_count=cap)
+
+    @pytest.mark.parametrize("n", [20000, 200000])
+    def test_huge_level_refused_from_its_lower_bound(self, n):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as exc:
+            a.enumerate_bracketings(n, 2)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.required is None and exc.value.level == n
+        assert f"at least 2**{n - 1} bracketings" in str(exc.value)
+
+    def test_cap_message_never_prints_a_giant_count(self):
+        with pytest.raises(CapExceededError) as exc:
+            a.enumerate_bracketings(9000, 2, max_count=0)
+        assert exc.value.required == a.catalan(9000, 2)
+        assert "at least 2**" in str(exc.value) and len(str(exc.value)) < 100
 
 
 class TestParseRender:
