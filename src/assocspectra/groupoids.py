@@ -1,9 +1,10 @@
 """Finite p-ary groupoids: operation tables, term functions, and spectra.
 
-Term functions are tabulated densely with numpy; subterm tables are shared
-across the bracketings of a level, and a node's table is assembled from its
-children's tables by outer indexing into the operation table rather than by
-re-walking trees.
+Term functions are tabulated densely with numpy, a node's table being its
+children's tables outer-indexed into the operation table.  Fine levels are
+tabulated by classes: a bracketing's term function depends only on its
+children's, so each level is built once per tuple of child classes from the
+distinct class tables of the levels below.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .terms import (
     Bracketing,
     _fold,
     _level,
+    _level_size,
     enumerate_bracketings,
     leaf,
     left_right_depth,
@@ -61,7 +63,7 @@ class Groupoid:
         self.size = size
         self.table = table
         self.names = names
-        array = np.array(table, dtype=np.int64).reshape((size,) * arity)
+        array = np.array(table, dtype=np.min_scalar_type(size - 1)).reshape((size,) * arity)
         array.setflags(write=False)
         self._array = array
 
@@ -176,35 +178,14 @@ class TermFunction:
         return f"TermFunction(level={self.level}, p={self.arity}, size={self.size})"
 
 
-class _Tabulator:
-    """Bottom-up term tables over one groupoid; shared subterms evaluated once."""
-
-    def __init__(self, g: Groupoid):
-        dtype = np.min_scalar_type(g.size - 1)
-        self.op = g._array.astype(dtype)
-        self.memo: dict[Bracketing, np.ndarray] = {leaf(g.arity): np.arange(g.size, dtype=dtype)}
-
-    def values(self, t: Bracketing) -> np.ndarray:
-        memo = self.memo
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            if s in memo:  # filled already, e.g. a child shared by two pending nodes
-                continue
-            try:
-                memo[s] = self.op[np.ix_(*[memo[c] for c in s.children])].ravel()
-            except KeyError:
-                stack.append(s)
-                stack.extend(c for c in s.children if c not in memo)
-        return memo[t]
-
-
 def term_function(g: Groupoid, t: Bracketing, *, max_cells: int | None = None) -> TermFunction:
     """Tabulate the function induced by ``t`` over all argument tuples."""
     if t.arity != g.arity:
         raise ValueError(f"bracketing arity {t.arity} does not match groupoid arity {g.arity}")
     require_cap(g.size ** t.length, max_cells, DEFAULT_MAX_CELLS, "term table needs {} cells")
-    return TermFunction(t.occ, g.arity, g.size, _Tabulator(g).values(t))
+    identity = np.arange(g.size, dtype=g._array.dtype)
+    values = _fold(t, lambda i: identity, lambda *kids: g._array[np.ix_(*kids)].ravel())
+    return TermFunction(t.occ, g.arity, g.size, values)
 
 
 def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
@@ -212,10 +193,23 @@ def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
     """Partition level ``n`` by equality of induced term functions."""
     require_level_cap(n, lambda: g.size ** ((g.arity - 1) * n + 1) * catalan(n, g.arity),
                       max_cells, DEFAULT_MAX_CELLS, f"level {n} needs {{}} table cells", level=n)
-    trees = enumerate_bracketings(n, g.arity, max_count=max_count)
-    tab = _Tabulator(g)
-    groups: dict[bytes, int] = {}
-    labels = [groups.setdefault(tab.values(t).tobytes(), len(groups)) for t in trees]
+    _level_size(n, g.arity, max_count)
+    tables = [np.arange(g.size, dtype=g._array.dtype)]  # one per class id, all lower levels
+    class_of = {leaf(g.arity): 0}
+    labels = [0]
+    for m in range(1, n + 1):
+        by_key: dict[tuple[int, ...], int] = {}  # child class ids -> class id
+        by_values: dict[bytes, int] = {}
+        labels = []
+        for t in _level(m, g.arity):
+            key = tuple(class_of[c] for c in t.children)
+            if key not in by_key:
+                values = g._array[np.ix_(*[tables[k] for k in key])].tobytes()
+                by_key[key] = by_values.setdefault(values, len(tables) + len(by_values))
+            labels.append(by_key[key])
+        if m < n:
+            class_of.update(zip(_level(m, g.arity), labels))
+            tables.extend(np.frombuffer(v, dtype=g._array.dtype) for v in by_values)
     return Partition(n, g.arity, labels)
 
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, _show
 from .insertion import catalan, format_tuple, parse_tuple, to_tuple
 from .terms import (
     Bracketing,
@@ -41,10 +41,12 @@ class Partition:
 
     def __init__(self, level: int, arity: int, labels: Iterable):
         labels = list(labels)
-        expected = catalan(level, arity)
+        # every level n >= 1 holds at least 2**(n-1) bracketings; a label count
+        # below that is refused before the exact count is computed
+        expected = catalan(level, arity) if len(labels).bit_length() >= level else None
         if len(labels) != expected:
-            raise ValueError(
-                f"level {level} has {expected} bracketings, got {len(labels)} labels")
+            shown = f"at least 2**{level - 1}" if expected is None else _show(expected)
+            raise ValueError(f"level {level} has {shown} bracketings, got {len(labels)} labels")
         ids: dict = {}
         class_of = []
         for lab in labels:

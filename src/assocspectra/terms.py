@@ -17,7 +17,7 @@ tree's cached prefix word (``_word_of``) is its rank key.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import ParseError, check_int, require_level_cap
 
@@ -130,12 +130,12 @@ def _fold(t: Bracketing, leaf, combine):
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+    """Tuples of ``parts`` nonnegative ints summing to ``total``, in lexicographic order."""
+    # stars and bars: parts - 1 bars among total + parts - 1 slots; bar
+    # positions in lexicographic order give the parts in lexicographic order
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 @lru_cache(maxsize=None)

@@ -207,6 +207,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--file", str(path))
         assert code == 3 and out == "" and "cap" in err
 
+    def test_wide_header_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "sigma.txt"
+        path.write_text("level=2 p=1500 classes=1\nclass 0: (1,1)\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == 2 and out == "" and "1499 bracketings left unclassified" in err
+
     def test_sigma_a_trimmed_by_max_n(self, capsys):
         code, out, _ = run(capsys, "verify", "--builtin", "sigma_a:0000010", "--max-n", "4")
         assert (code, out) == (0, "CLOSED\n")

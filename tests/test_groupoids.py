@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -271,6 +272,28 @@ class TestFineLevel:
             for t in trees]
         assert a.fine_level(g, 3) == Partition(3, 2, tables)
         assert a.fine_level(g, 3).num_classes == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_term_function_oracle(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        size = data.draw(st.integers(1, 3))
+        table = data.draw(st.lists(st.integers(0, size - 1), min_size=size ** p,
+                                   max_size=size ** p))
+        g = Groupoid(p, size, table)
+        n = data.draw(st.integers(0, 5 if p == 2 else 3))
+        oracle = Partition(n, p, [a.term_function(g, t).values.tobytes()
+                                  for t in a.enumerate_bracketings(n, p)])
+        assert a.fine_level(g, n) == oracle
+
+    def test_polyk3_collisions_match_the_oracle(self):
+        # 132 level-6 bracketings in 26 classes, so most child-class keys repeat
+        g = a.gallery("polyk", k=3)
+        for n in range(1, 7):
+            pi = a.fine_level(g, n)
+            assert pi.num_classes == sum(math.comb(n - 1, i) for i in range(4))
+        assert pi == Partition(6, 2, [a.term_function(g, t).values.tobytes()
+                                      for t in a.enumerate_bracketings(6, 2)])
 
     def test_cap(self):
         with pytest.raises(CapExceededError) as exc:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,14 @@ class TestPartition:
     def test_totality_enforced(self):
         with pytest.raises(ValueError):
             Partition(3, 2, [0, 0, 0])  # level 3 has five bracketings
+
+    def test_label_count_checked_before_the_exact_count(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            Partition(100000, 2, [0])
+        assert time.perf_counter() - start < 0.5
+        assert type(exc.value) is ValueError
+        assert "at least 2**99999 bracketings" in str(exc.value)
 
     def test_normalization(self):
         pi = Partition(2, 2, ["b", "a"])

@@ -120,6 +120,12 @@ class TestEnumerate:
         assert "at least 2**" in str(exc.value) and len(str(exc.value)) < 100
 
 
+    def test_wide_arity_builds_without_recursion(self):
+        # one child position per recursion level would overflow the stack here
+        (t,) = a.enumerate_bracketings(1, 2000)
+        assert t.length == 2000 and all(c.is_leaf for c in t.children)
+
+
 class TestParseRender:
     def test_prefix_examples(self):
         t = a.parse_bracketing("wwxxx", 2)
