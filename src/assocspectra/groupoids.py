@@ -23,7 +23,6 @@ from .terms import (
     _fold,
     _level,
     _level_size,
-    enumerate_bracketings,
     leaf,
     left_right_depth,
     node,
@@ -194,23 +193,72 @@ def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
     require_level_cap(n, lambda: g.size ** ((g.arity - 1) * n + 1) * catalan(n, g.arity),
                       max_cells, DEFAULT_MAX_CELLS, f"level {n} needs {{}} table cells", level=n)
     _level_size(n, g.arity, max_count)
-    tables = [np.arange(g.size, dtype=g._array.dtype)]  # one per class id, all lower levels
+    if n == 0:
+        return Partition(0, g.arity, [0])
+    op = g._array
+    tables = [np.arange(g.size, dtype=op.dtype)]  # one per class id, all lower levels
     class_of = {leaf(g.arity): 0}
-    labels = [0]
-    for m in range(1, n + 1):
+    for m in range(1, n):
         by_key: dict[tuple[int, ...], int] = {}  # child class ids -> class id
         by_values: dict[bytes, int] = {}
-        labels = []
         for t in _level(m, g.arity):
             key = tuple(class_of[c] for c in t.children)
             if key not in by_key:
-                values = g._array[np.ix_(*[tables[k] for k in key])].tobytes()
+                values = _gather(op, [tables[k] for k in key]).tobytes()
                 by_key[key] = by_values.setdefault(values, len(tables) + len(by_values))
-            labels.append(by_key[key])
-        if m < n:
-            class_of.update(zip(_level(m, g.arity), labels))
-            tables.extend(np.frombuffer(v, dtype=g._array.dtype) for v in by_values)
-    return Partition(n, g.arity, labels)
+            class_of[t] = by_key[key]
+        tables.extend(np.frombuffer(v, dtype=op.dtype) for v in by_values)
+    keys = (tuple(class_of[c] for c in t.children) for t in _level(n, g.arity))
+    return Partition(n, g.arity, _top_classes(op, tables, keys))
+
+
+def _gather(op: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """``op[np.ix_(*tables)].ravel()`` as one ``take`` per axis, the last axis first.
+
+    Each table has at least ``size`` entries, so no intermediate is larger
+    than the result, and the final first-axis step copies contiguous rows.
+    """
+    out = op
+    for axis in range(len(tables) - 1, -1, -1):
+        out = out.take(tables[axis], axis=axis)
+    return out.ravel()
+
+
+def _fingerprint(values: np.ndarray) -> int:
+    """A salted hash of a table; it only picks merge candidates, never decides one."""
+    return hash(values.tobytes())
+
+
+def _top_classes(op: np.ndarray, tables: list[np.ndarray], keys) -> list[int]:
+    """Class ids of the top level's child-class keys, counted up by first appearance.
+
+    Each new key's table is computed, fingerprinted and dropped.  Only
+    ``np.array_equal`` against a class representative merges it.  A class
+    keeps its first key; its table is rebuilt from that key, and then kept,
+    the first time a later fingerprint matches it, so singletons keep none.
+    """
+    by_key: dict[tuple[int, ...], int] = {}
+    by_print: dict[int, list[int]] = {}  # fingerprint -> candidate class ids
+    rep_keys: list[tuple[int, ...]] = []
+    rep_tables: dict[int, np.ndarray] = {}
+    labels = []
+    for key in keys:
+        c = by_key.get(key)
+        if c is None:
+            values = _gather(op, [tables[k] for k in key])
+            candidates = by_print.setdefault(_fingerprint(values), [])
+            for c in candidates:
+                if c not in rep_tables:
+                    rep_tables[c] = _gather(op, [tables[k] for k in rep_keys[c]])
+                if np.array_equal(values, rep_tables[c]):
+                    break
+            else:
+                c = len(rep_keys)
+                rep_keys.append(key)
+                candidates.append(c)
+            by_key[key] = c
+        labels.append(c)
+    return labels
 
 
 def assoc_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
@@ -484,7 +532,7 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
         raise ValueError(f"level must be nonnegative, got {level}")
     if level >= truncation:
         raise ValueError(f"level {level} needs a truncation degree above it, got {truncation}")
-    trees = enumerate_bracketings(level, 2, max_count=max_count)
+    count = _level_size(level, 2, max_count)
     rng = np.random.default_rng(seed)
     n_vars = level + 1
     args = rng.integers(0, 6, size=(trials, n_vars, truncation), dtype=np.int64)
@@ -496,8 +544,8 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
         return out
 
     mismatches = []
-    for t in trees:
-        got = _fold(t, lambda i: args[:, i, :], _ring_op)
+    # residues stay below 3*5 + 2*5 = 25 inside _ring_op, so int8 holds them
+    for t, got in _ring_level(args.astype(np.int8), level):
         if t.occ == 0:
             want = args[:, 0, :]
         else:
@@ -506,4 +554,29 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
                     + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6
         if not np.array_equal(got, want):
             mismatches.append(render_bracketing(t))
-    return RingCheckReport(truncation, level, trials, len(trees), tuple(mismatches))
+    return RingCheckReport(truncation, level, trials, count, tuple(mismatches))
+
+
+def _ring_level(args: np.ndarray, level: int):
+    """Yield each binary bracketing of ``level``, in canonical order, with its ring value.
+
+    ``args`` has shape ``(trials, level + 1, truncation)``.  Every tree of
+    the lower levels is evaluated once, at all of its leaf offsets at the
+    same time: its values have shape ``(trials, offsets, truncation)``.  A
+    level tree is then one :func:`_ring_op` over its children's slices, and
+    its value, of shape ``(trials, truncation)``, is not stored.
+    """
+    if level == 0:
+        yield leaf(2), args[:, 0]
+        return
+    below = {leaf(2): args}  # tree -> its values at leaf offsets 0..level-occ
+    for m in range(1, level + 1):
+        offsets = level - m + 1
+        for t in _level(m, 2):
+            left, right = t.children
+            got = _ring_op(below[left][:, :offsets],
+                           below[right][:, left.occ + 1:left.occ + 1 + offsets])
+            if m < level:
+                below[t] = got
+            else:
+                yield t, got[:, 0]

@@ -83,9 +83,13 @@ def node(*children: Bracketing) -> Bracketing:
         if c.arity != p:
             raise ValueError(f"child of arity {c.arity} cannot sit under a {p}-ary node")
     t = _node_cache.get(children)
-    if t is None:
-        t = _node_cache[children] = Bracketing(p, children)
-    return t
+    return _join(children) if t is None else t
+
+
+def _join(children: tuple[Bracketing, ...]) -> Bracketing:
+    """The interned node over ``children``, unchecked: they must be ``p`` trees of arity ``p``."""
+    # one lookup, which suits a caller that mostly builds new nodes
+    return _node_cache.setdefault(children, Bracketing(len(children), children))
 
 
 def _word_of(t: Bracketing) -> str:
@@ -145,11 +149,10 @@ def _level(n: int, p: int) -> tuple[Bracketing, ...]:
     # its next operation symbol after strictly fewer variables
     if n == 0:
         return (leaf(p),)
+    lower = [_level(m, p) for m in range(n)]
     out = []
     for split in _compositions(n - 1, p):
-        levels = [_level(m, p) for m in split]
-        for kids in product(*levels):
-            out.append(node(*kids))
+        out.extend(map(_join, product(*map(lower.__getitem__, split))))
     out.sort(key=_word_of)
     return tuple(out)
 

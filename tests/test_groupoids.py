@@ -2,11 +2,15 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import assocspectra as a
+from assocspectra import groupoids
 from assocspectra import CapExceededError, Groupoid, Partition, SchemaError, SpectrumPrefix
 
 EGG4_ROWS = [
@@ -295,6 +299,36 @@ class TestFineLevel:
         assert pi == Partition(6, 2, [a.term_function(g, t).values.tobytes()
                                       for t in a.enumerate_bracketings(6, 2)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_oracle_when_every_fingerprint_collides(self, data):
+        # a constant fingerprint makes every top-level class a merge candidate
+        # of every new key, so only the exact comparison tells them apart
+        with mock.patch.object(groupoids, "_fingerprint", lambda values: 0):
+            self.test_matches_term_function_oracle.hypothesis.inner_test(self, data)
+
+    @pytest.mark.parametrize("name, params, n", [
+        ("polyk", {"k": 3}, 6), ("egg7", {}, 5), ("sheffer", {}, 6)])
+    def test_gallery_when_every_fingerprint_collides(self, name, params, n):
+        g = a.gallery(name, **params)
+        oracle = Partition(n, 2, [a.term_function(g, t).values.tobytes()
+                                  for t in a.enumerate_bracketings(n, 2)])
+        with mock.patch.object(groupoids, "_fingerprint", lambda values: 0):
+            assert a.fine_level(g, n) == oracle
+
+    def test_top_level_keeps_no_table_per_class(self):
+        # 132 bracketings of 7**7 one-byte cells: 108 MiB if each class kept its table
+        g = a.gallery("egg7")
+        a.enumerate_bracketings(6, 2)
+        tracemalloc.start()
+        try:
+            pi = a.fine_level(g, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pi.num_classes == 113
+        assert peak < 24 * 2**20
+
     def test_cap(self):
         with pytest.raises(CapExceededError) as exc:
             a.fine_level(a.gallery("egg7"), 5, max_cells=10)
@@ -543,6 +577,38 @@ class TestRingClosedFormCheck:
         report = a.ring_closed_form_check(16, 3, trials=7, seed=5)
         assert (report.truncation, report.level, report.trials) == (16, 3, 7)
         assert report.mismatches == ()
+
+    def test_wrong_ring_operation_is_reported(self):
+        def swapped(x1, x2):  # 2Y*x1 + 3Y*x2
+            out = np.zeros_like(x1)
+            out[..., 1:] = (2 * x1[..., :-1] + 3 * x2[..., :-1]) % 6
+            return out
+
+        with mock.patch.object(groupoids, "_ring_op", swapped):
+            report = a.ring_closed_form_check(16, 4, trials=5)
+        assert not report.ok and len(report.mismatches) == report.bracketings == 14
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_shared_evaluation_matches_eval_term(self, level):
+        ring = a.TruncatedRing(8)
+        args = np.random.default_rng(level).integers(0, 6, size=(3, level + 1, 8))
+        got = list(groupoids._ring_level(args.astype(np.int8), level))
+        assert [t for t, _ in got] == a.enumerate_bracketings(level, 2)
+        for t, values in got:
+            for trial in range(3):
+                assert tuple(values[trial].tolist()) == ring.eval_term(t, args[trial].tolist())
+
+    def test_shared_store_stays_small(self):
+        # every tree of levels 1..8 kept at all of its leaf offsets, one byte a residue
+        a.enumerate_bracketings(9, 2)
+        tracemalloc.start()
+        try:
+            report = a.ring_closed_form_check(16, 9, trials=50, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.bracketings == 4862
+        assert peak < 8 * 2**20
 
 
 class TestStructuralInvariants:
