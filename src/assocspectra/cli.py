@@ -16,7 +16,7 @@ from .groupoids import (
     GALLERY_ENTRIES,
     TruncatedRing,
     dump_groupoid,
-    fine_level,
+    fine_spectrum,
     gallery,
     load_groupoid,
 )
@@ -60,22 +60,22 @@ def cmd_count(args) -> int:
 
 def cmd_spectrum(args) -> int:
     with open(args.table, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    g = load_groupoid(doc)
-    partitions = []
-    for n in range(args.max_n + 1):
-        try:
-            pi = fine_level(g, n, max_cells=args.max_cells, max_count=args.max_bracketings)
-        except CapExceededError:
-            print(f"# truncated at n={n}")
-            return 3
-        partitions.append(pi)
-        print(f"n={n} classes={pi.num_classes}")
+        g = load_groupoid(json.load(fh))
+    partitions, code = [], 0
+    try:
+        for pi in fine_spectrum(g, args.max_n, max_cells=args.max_cells,
+                                max_count=args.max_bracketings):
+            partitions.append(pi)
+            print(f"n={pi.level} classes={pi.num_classes}")
+    except CapExceededError:
+        code = 3
     if args.fine:
         for pi in partitions:
             print()
             print(format_partition(pi))
-    return 0
+    if code:
+        print(f"# truncated at n={len(partitions)}")
+    return code
 
 
 def _int_param(param: str, name: str) -> int:
@@ -98,12 +98,7 @@ def _builtin_prefix(text: str, max_n: int | None, p: int,
     if name == "sigma_a":
         if not param:
             raise ValueError("builtin sigma_a needs a bit string, e.g. sigma_a:000001")
-        sigma = sigma_a(param, max_count=max_count)
-        if max_n is not None:
-            if max_n > sigma.horizon:
-                raise ValueError(f"--max-n {max_n} exceeds the bit string horizon {sigma.horizon}")
-            sigma = SpectrumPrefix(sigma.partitions[:max_n + 1])
-        return sigma
+        return _cut(sigma_a(param, max_count=max_count), max_n, "bit string")
     if max_n is None:
         raise ValueError(f"builtin {name!r} needs --max-n")
     if name == "left_factor":
@@ -122,16 +117,21 @@ def _builtin_prefix(text: str, max_n: int | None, p: int,
                      "or sigma_a:bits")
 
 
+def _cut(sigma: SpectrumPrefix, max_n: int | None, source: str) -> SpectrumPrefix:
+    """The levels 0..max_n of ``sigma``, or all of it when ``max_n`` is ``None``."""
+    if max_n is None:
+        return sigma
+    if max_n > sigma.horizon:
+        raise ValueError(f"--max-n {max_n} exceeds the {source} horizon {sigma.horizon}")
+    return SpectrumPrefix(sigma.partitions[:max_n + 1])
+
+
 def cmd_verify(args) -> int:
     if args.builtin:
         sigma = _builtin_prefix(args.builtin, args.max_n, args.p, args.max_bracketings)
     else:
         with open(args.file, encoding="utf-8") as fh:
-            sigma = parse_spectrum_prefix(fh.read())
-        if args.max_n is not None:
-            if args.max_n > sigma.horizon:
-                raise ValueError(f"--max-n {args.max_n} exceeds the file horizon {sigma.horizon}")
-            sigma = SpectrumPrefix(sigma.partitions[:args.max_n + 1])
+            sigma = _cut(parse_spectrum_prefix(fh.read()), args.max_n, "file")
     report = verify_closed(sigma)
     if report.closed:
         print("CLOSED")

@@ -187,29 +187,50 @@ def term_function(g: Groupoid, t: Bracketing, *, max_cells: int | None = None) -
     return TermFunction(t.occ, g.arity, g.size, values)
 
 
-def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
-               max_count: int | None = None) -> Partition:
-    """Partition level ``n`` by equality of induced term functions."""
+def _require_level(g: Groupoid, n: int, max_cells: int | None, max_count: int | None) -> None:
+    """Refuse level ``n`` of ``g`` when its cells or its bracketings exceed their caps."""
     require_level_cap(n, lambda: g.size ** ((g.arity - 1) * n + 1) * catalan(n, g.arity),
                       max_cells, DEFAULT_MAX_CELLS, f"level {n} needs {{}} table cells", level=n)
     _level_size(n, g.arity, max_count)
-    if n == 0:
-        return Partition(0, g.arity, [0])
+
+
+def fine_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
+                  max_count: int | None = None):
+    """Yield the fine partitions of levels 0..max_n, tabulating each level once.
+
+    The highest level that the caps admit is found first; both needs grow
+    with ``n``.  The levels below it keep one table per class, which the
+    levels above gather from; it keeps none.  Then the refusal of the level
+    above it, a :class:`CapExceededError`, is raised.
+    """
+    top, refusal = max_n, None
+    for n in range(max_n + 1):
+        try:
+            _require_level(g, n, max_cells, max_count)
+        except CapExceededError as exc:
+            top, refusal = n - 1, exc
+            break
     op = g._array
-    tables = [np.arange(g.size, dtype=op.dtype)]  # one per class id, all lower levels
+    tables = [np.arange(g.size, dtype=op.dtype)]  # one per class id, all kept levels
     class_of = {leaf(g.arity): 0}
-    for m in range(1, n):
-        by_key: dict[tuple[int, ...], int] = {}  # child class ids -> class id
-        by_values: dict[bytes, int] = {}
-        for t in _level(m, g.arity):
-            key = tuple(class_of[c] for c in t.children)
-            if key not in by_key:
-                values = _gather(op, [tables[k] for k in key]).tobytes()
-                by_key[key] = by_values.setdefault(values, len(tables) + len(by_values))
-            class_of[t] = by_key[key]
-        tables.extend(np.frombuffer(v, dtype=op.dtype) for v in by_values)
-    keys = (tuple(class_of[c] for c in t.children) for t in _level(n, g.arity))
-    return Partition(n, g.arity, _top_classes(op, tables, keys))
+    if top >= 0:
+        yield Partition(0, g.arity, [0])
+    for n in range(1, top + 1):
+        base = len(tables)
+        keys = (tuple(map(class_of.__getitem__, t.children)) for t in _level(n, g.arity))
+        labels = _top_classes(op, tables, keys, keep=n < top)
+        yield Partition(n, g.arity, labels)
+        if n < top:
+            class_of.update((t, base + c) for t, c in zip(_level(n, g.arity), labels))
+    if refusal:
+        raise refusal
+
+
+def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
+               max_count: int | None = None) -> Partition:
+    """Partition level ``n`` by equality of induced term functions."""
+    _require_level(g, n, max_cells, max_count)
+    return list(fine_spectrum(g, n, max_cells=max_cells, max_count=max_count))[-1]
 
 
 def _gather(op: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
@@ -229,13 +250,15 @@ def _fingerprint(values: np.ndarray) -> int:
     return hash(values.tobytes())
 
 
-def _top_classes(op: np.ndarray, tables: list[np.ndarray], keys) -> list[int]:
-    """Class ids of the top level's child-class keys, counted up by first appearance.
+def _top_classes(op: np.ndarray, tables: list[np.ndarray], keys, keep: bool = False) -> list[int]:
+    """Class ids of a level's child-class keys, counted up by first appearance.
 
-    Each new key's table is computed, fingerprinted and dropped.  Only
-    ``np.array_equal`` against a class representative merges it.  A class
-    keeps its first key; its table is rebuilt from that key, and then kept,
-    the first time a later fingerprint matches it, so singletons keep none.
+    Each new key's table is computed and fingerprinted; only ``np.array_equal``
+    against a class representative merges it.  With ``keep``, each new class
+    appends its table to ``tables``, copied into one array that owns its cells.
+    Without it, a class keeps its first key and no table until a later
+    fingerprint matches it; the table is then rebuilt from that key and kept,
+    so singletons keep none.
     """
     by_key: dict[tuple[int, ...], int] = {}
     by_print: dict[int, list[int]] = {}  # fingerprint -> candidate class ids
@@ -256,6 +279,9 @@ def _top_classes(op: np.ndarray, tables: list[np.ndarray], keys) -> list[int]:
                 c = len(rep_keys)
                 rep_keys.append(key)
                 candidates.append(c)
+                if keep:
+                    rep_tables[c] = values = values.copy()
+                    tables.append(values)
             by_key[key] = c
         labels.append(c)
     return labels
@@ -263,20 +289,20 @@ def _top_classes(op: np.ndarray, tables: list[np.ndarray], keys) -> list[int]:
 
 def assoc_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
                    max_count: int | None = None, partial: bool = False) -> list[int]:
-    """Class counts of :func:`fine_level` for the levels 0..max_n.
+    """Class counts of :func:`fine_spectrum` for the levels 0..max_n.
 
     A cap hit raises with the completed counts attached, or returns them
     directly when ``partial`` is set.
     """
     counts: list[int] = []
-    for i in range(max_n + 1):
-        try:
-            counts.append(fine_level(g, i, max_cells=max_cells, max_count=max_count).num_classes)
-        except CapExceededError as exc:
-            if partial:
-                return counts
-            exc.partial = counts
-            raise
+    try:
+        for pi in fine_spectrum(g, max_n, max_cells=max_cells, max_count=max_count):
+            counts.append(pi.num_classes)
+    except CapExceededError as exc:
+        if partial:
+            return counts
+        exc.partial = counts
+        raise
     return counts
 
 

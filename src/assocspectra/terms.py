@@ -211,28 +211,15 @@ def _parse_prefix(text: str, p: int) -> Bracketing:
 
 
 def _parse_infix(text: str) -> Bracketing:
-    frames: list[list[Bracketing]] = [[]]
-    for i, ch in enumerate(text):
-        if len(frames) == 1 and frames[0]:
-            raise ParseError(f"trailing characters at position {i}: {text!r}")
-        if ch == "(":
-            frames.append([])
-        elif ch == "x":
-            frames[-1].append(leaf(2))
-        elif ch == ")":
-            if len(frames) == 1:
-                raise ParseError(f"unbalanced ')' at position {i}")
-            kids = frames.pop()
-            if len(kids) != 2:
-                raise ParseError(f"exactly two subterms expected before ')' at position {i}")
-            frames[-1].append(node(*kids))
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-        if len(frames) > 1 and len(frames[-1]) > 2:
-            raise ParseError(f"more than two subterms in the group ending near position {i}")
-    if len(frames) > 1 or not frames[0]:
-        raise ParseError(f"truncated bracketing: {text!r}")
-    return frames[0][0]
+    # each '(' opens a node, so the text without its ')' is the prefix word;
+    # only a text that is the parsed tree's own rendering is accepted
+    try:
+        t = _parse_prefix(text.replace("(", "w").replace(")", ""), 2)
+    except ParseError:
+        t = None
+    if t is None or render_bracketing(t, "infix") != text:
+        raise ParseError(f"not a binary infix bracketing: {text!r}")
+    return t
 
 
 def render_bracketing(t: Bracketing, format: str = "prefix") -> str:
@@ -242,20 +229,7 @@ def render_bracketing(t: Bracketing, format: str = "prefix") -> str:
     if format == "infix":
         if t.arity != 2:
             raise ValueError("infix notation is only defined for binary bracketings")
-        parts: list[str] = []
-        stack: list[object] = [t]
-        while stack:
-            s = stack.pop()
-            if isinstance(s, str):
-                parts.append(s)
-            elif s.is_leaf:
-                parts.append("x")
-            else:
-                stack.append(")")
-                stack.append(s.children[1])
-                stack.append(s.children[0])
-                stack.append("(")
-        return "".join(parts)
+        return _fold(t, lambda i: "x", lambda a, b: f"({a}{b})")
     raise ValueError(f"unknown format {format!r}; expected 'prefix' or 'infix'")
 
 

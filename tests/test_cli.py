@@ -139,6 +139,20 @@ class TestSpectrum:
         assert lines[:-1] == ["n=0 classes=1", "n=1 classes=1",
                               "n=2 classes=2", "n=3 classes=5"]
 
+    def test_fine_keeps_the_completed_levels_on_a_cap(self, capsys, tmp_path):
+        g = a.gallery("egg7")
+        path = self.write(tmp_path, a.dump_groupoid(g))
+        code, out, _ = run(capsys, "spectrum", path, "--max-n", "5",
+                           "--max-cells", "100000", "--fine")
+        assert code == 3
+        body, _, last = out.rstrip("\n").rpartition("\n")
+        assert last == "# truncated at n=4"
+        counts, _, blocks = body.partition("\n\n")
+        assert counts.splitlines() == ["n=0 classes=1", "n=1 classes=1",
+                                       "n=2 classes=2", "n=3 classes=5"]
+        sigma = a.parse_spectrum_prefix(blocks)
+        assert list(sigma.partitions) == [a.fine_level(g, n) for n in range(4)]
+
     def test_schema_error(self, capsys, tmp_path):
         path = self.write(tmp_path, {"p": 2, "size": 2, "table": [0, 0, 0]})
         code, _, err = run(capsys, "spectrum", path, "--max-n", "2")
@@ -218,6 +232,14 @@ class TestVerify:
         assert (code, out) == (0, "CLOSED\n")
         code, _, _ = run(capsys, "verify", "--builtin", "sigma_a:000001", "--max-n", "9")
         assert code == 2
+
+    def test_max_n_past_the_horizon_names_the_source(self, capsys, tmp_path):
+        path = tmp_path / "sigma.txt"
+        path.write_text(a.format_spectrum_prefix(a.build_prefix(a.tau, 3)), encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--file", str(path), "--max-n", "4")
+        assert code == 2 and "--max-n 4 exceeds the file horizon 3" in err
+        code, _, err = run(capsys, "verify", "--builtin", "sigma_a:000001", "--max-n", "9")
+        assert code == 2 and "--max-n 9 exceeds the bit string horizon" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "verify", "--builtin", "mystery", "--max-n", "3")

@@ -348,6 +348,80 @@ class TestFineLevel:
             a.fine_level(g, 3, max_count=cap)
 
 
+def fine_oracle(g, n):
+    """Level ``n`` partitioned by the ``term_function`` tables of its bracketings."""
+    return Partition(n, g.arity, [a.term_function(g, t).values.tobytes()
+                                  for t in a.enumerate_bracketings(n, g.arity)])
+
+
+class TestFineSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_yields_every_fine_level(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        size = data.draw(st.integers(1, 3))
+        table = data.draw(st.lists(st.integers(0, size - 1), min_size=size ** p,
+                                   max_size=size ** p))
+        g = Groupoid(p, size, table)
+        n = data.draw(st.integers(0, 5 if p == 2 else 3))
+        walked = list(a.fine_spectrum(g, n))
+        assert walked == [a.fine_level(g, m) for m in range(n + 1)]
+        assert walked == [fine_oracle(g, m) for m in range(n + 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_yields_every_fine_level_when_every_fingerprint_collides(self, data):
+        # the kept lower levels merge through the same fingerprints as the top
+        with mock.patch.object(groupoids, "_fingerprint", lambda values: 0):
+            self.test_yields_every_fine_level.hypothesis.inner_test(self, data)
+
+    def test_gallery_levels_match_the_oracle(self):
+        for g, n in ((a.gallery("egg7"), 5), (a.gallery("polyk", k=3), 6)):
+            assert list(a.fine_spectrum(g, n)) == [fine_oracle(g, m) for m in range(n + 1)]
+
+    def test_yields_the_admitted_levels_then_raises(self):
+        got = []
+        with pytest.raises(CapExceededError) as exc:
+            for pi in a.fine_spectrum(a.gallery("egg7"), 5, max_cells=10**5):
+                got.append(pi)
+        assert [(pi.level, pi.num_classes) for pi in got] == [(0, 1), (1, 1), (2, 2), (3, 5)]
+        assert exc.value.level == 4 and exc.value.required == 7 ** 5 * 14
+
+    def test_negative_horizon_yields_nothing(self):
+        assert list(a.fine_spectrum(a.gallery("egg4"), -1)) == []
+
+    def test_spectrum_tabulates_as_often_as_its_top_level(self):
+        # the per-level loop re-walked levels 1..n-1 for every n: 474 gathers
+        g = a.gallery("polyk", k=3)
+        calls = []
+        gather = groupoids._gather
+
+        def counted(*args):
+            calls.append(1)
+            return gather(*args)
+
+        with mock.patch.object(groupoids, "_gather", counted):
+            assert a.assoc_spectrum(g, 7) == [1, 1, 2, 4, 8, 15, 26, 42]
+            spectrum_calls = len(calls)
+            calls.clear()
+            a.fine_level(g, 7)
+        assert spectrum_calls == len(calls) == 264
+
+    def test_highest_admitted_level_keeps_no_table_per_class(self):
+        # level 7 is over the cell cap, so level 6 is the top: without the
+        # look-ahead its 113 class tables of 7**7 cells would be kept
+        g = a.gallery("egg7")
+        a.enumerate_bracketings(6, 2)
+        tracemalloc.start()
+        try:
+            counts = a.assoc_spectrum(g, 8, partial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [1, 1, 2, 5, 14, 41, 113]
+        assert peak < 24 * 2**20
+
+
 class TestAssocSpectrum:
     def test_associative_control(self):
         g = a.gallery("const_assoc", m=3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -164,6 +165,31 @@ class TestParseRender:
     def test_infix_errors(self, bad):
         with pytest.raises(ParseError):
             a.parse_bracketing(bad, 2, "infix")
+
+    def test_infix_accepts_exactly_the_renderings(self):
+        # every string over '(', 'x', ')' up to length 10: 88,573 of them
+        renderings = {a.render_bracketing(t, "infix"): t
+                      for n in range(4) for t in a.enumerate_bracketings(n, 2)}
+        accepted = {}
+        for length in range(11):
+            for chars in itertools.product("(x)", repeat=length):
+                text = "".join(chars)
+                try:
+                    accepted[text] = a.parse_bracketing(text, 2, "infix")
+                except ParseError:
+                    pass
+        assert len(accepted) == 9 and accepted == renderings
+
+    @pytest.mark.parametrize("bad", ["wxx", "(xwxx)", "(x y)"])
+    def test_infix_rejects_other_symbols(self, bad):
+        with pytest.raises(ParseError, match="not a binary infix bracketing"):
+            a.parse_bracketing(bad, 2, "infix")
+
+    def test_infix_roundtrip_deep(self):
+        t = a.left_associated(3000, 2)
+        text = a.render_bracketing(t, "infix")
+        assert text == "(" * 3000 + "x" + "x)" * 3000
+        assert a.parse_bracketing(text, 2, "infix") is t
 
     def test_infix_needs_binary(self):
         with pytest.raises(ValueError):
