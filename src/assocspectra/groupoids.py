@@ -23,6 +23,7 @@ from .terms import (
     _fold,
     _level,
     _level_size,
+    _word_of,
     leaf,
     left_right_depth,
     node,
@@ -141,7 +142,7 @@ def eval_term(g: Groupoid, t: Bracketing, args) -> int:
     bad = [a for a in args if not 0 <= a < g.size]
     if bad:
         raise ValueError(f"element {bad[0]!r} outside the carrier 0..{g.size - 1}")
-    return _fold(t, args.__getitem__, g.apply)
+    return _fold(_word_of(t), t.arity, args.__getitem__, g.apply)
 
 
 class TermFunction:
@@ -183,7 +184,8 @@ def term_function(g: Groupoid, t: Bracketing, *, max_cells: int | None = None) -
         raise ValueError(f"bracketing arity {t.arity} does not match groupoid arity {g.arity}")
     require_cap(g.size ** t.length, max_cells, DEFAULT_MAX_CELLS, "term table needs {} cells")
     identity = np.arange(g.size, dtype=g._array.dtype)
-    values = _fold(t, lambda i: identity, lambda *kids: g._array[np.ix_(*kids)].ravel())
+    values = _fold(_word_of(t), t.arity, lambda i: identity,
+                   lambda *kids: g._array[np.ix_(*kids)].ravel())
     return TermFunction(t.occ, g.arity, g.size, values)
 
 
@@ -482,7 +484,7 @@ class TruncatedRing:
         args = [self.element(a) for a in args]
         if len(args) != t.length:
             raise ValueError(f"expected {t.length} arguments, got {len(args)}")
-        return tuple(_fold(t, np.array(args).__getitem__, _ring_op).tolist())
+        return tuple(_fold(_word_of(t), t.arity, np.array(args).__getitem__, _ring_op).tolist())
 
     def __repr__(self):
         return f"TruncatedRing(truncation={self.truncation})"
@@ -570,14 +572,17 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
         return out
 
     mismatches = []
+    closed_form = {}  # (dl, dr) -> wanted value, computed on first use
     # residues stay below 3*5 + 2*5 = 25 inside _ring_op, so int8 holds them
     for t, got in _ring_level(args.astype(np.int8), level):
         if t.occ == 0:
             want = args[:, 0, :]
         else:
-            dl, dr = left_right_depth(t)
-            want = (shifted(args[:, 0, :], dl, pow(3, dl, 6))
-                    + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6
+            dl, dr = depths = left_right_depth(t)
+            if depths not in closed_form:
+                closed_form[depths] = (shifted(args[:, 0, :], dl, pow(3, dl, 6))
+                                       + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6
+            want = closed_form[depths]
         if not np.array_equal(got, want):
             mismatches.append(render_bracketing(t))
     return RingCheckReport(truncation, level, trials, count, tuple(mismatches))

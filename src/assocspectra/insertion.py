@@ -18,7 +18,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import ParseError, check_int, require_level_cap
-from .terms import DEFAULT_MAX_BRACKETINGS, Bracketing, _word_of, parse_bracketing
+from .terms import DEFAULT_MAX_BRACKETINGS, Bracketing, _parse_prefix, _word_of
 
 
 def to_tuple(t: Bracketing) -> tuple[int, ...]:
@@ -61,7 +61,7 @@ def from_tuple(u, p: int) -> Bracketing:
             chars.append("w")
             i += 1
         chars.append("x")
-    return parse_bracketing("".join(chars), p, "prefix")
+    return _parse_prefix("".join(chars), p)
 
 
 def beta_update(u, i: int, p: int) -> tuple[int, ...]:

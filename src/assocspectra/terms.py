@@ -11,7 +11,8 @@ canonical order: lexicographic on prefix words with ``w`` sorting before
 the first differing prefix symbol puts the next operation symbol after
 strictly fewer variables on the ``w`` side.  This module alone stores a
 level: ``_level`` keeps its interned trees in canonical order, and each
-tree's cached prefix word (``_word_of``) is its rank key.
+tree's cached prefix word (``_word_of``) is its rank key.  ``_fold`` is the one
+prefix-word decoder; only a tree asked for its word, or parsed, caches it.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def node(*children: Bracketing) -> Bracketing:
             raise TypeError(f"children must be bracketings, got {type(c).__name__}")
         if c.arity != p:
             raise ValueError(f"child of arity {c.arity} cannot sit under a {p}-ary node")
-    t = _node_cache.get(children)
-    return _join(children) if t is None else t
+    return _node_cache.get(children) or _join(children)
 
 
 def _join(children: tuple[Bracketing, ...]) -> Bracketing:
@@ -93,43 +93,40 @@ def _join(children: tuple[Bracketing, ...]) -> Bracketing:
 
 
 def _word_of(t: Bracketing) -> str:
-    """Prefix word of ``t``, cached on the shared nodes."""
-    if t._word is not None:
-        return t._word
-    stack = [t]
-    while stack:
-        s = stack[-1]
-        if s._word is not None:
-            stack.pop()
-            continue
-        missing = [c for c in s.children if c._word is None]
-        if missing:
-            stack.extend(missing)
-        else:
-            s._word = "w" + "".join(c._word for c in s.children)
-            stack.pop()
+    """Prefix word of ``t``, cached on ``t`` alone and built from the words its subtrees hold."""
+    if t._word is None:
+        parts, stack = [], [t]
+        while stack:
+            s = stack.pop()
+            parts.append(s._word or "w")
+            if s._word is None:
+                stack.extend(reversed(s.children))
+        t._word = "".join(parts)
     return t._word
 
 
-def _fold(t: Bracketing, leaf, combine):
-    """Evaluate ``t`` bottom-up without recursion.
+def _fold(word: str, p: int, leaf, combine):
+    """Evaluate a prefix word of arity ``p`` bottom-up: the one decoder of prefix words.
 
     ``leaf(i)`` gives the value of the i-th variable (from 0, left to right)
-    and ``combine(v_1, ..., v_p)`` the value of an operation symbol over its
-    children's values.  The prefix word is scanned right to left, so the
-    stack top always holds the leftmost pending value.
+    and ``combine(v_1, ..., v_p)`` that of an operation symbol (any non-``x``)
+    over its operands'.  The word is scanned right to left, so the stack top
+    holds the leftmost pending value.  A word of no single bracketing raises.
     """
-    p = t.arity
     stack = []
-    i = t.length
-    for ch in reversed(_word_of(t)):
+    i = word.count("x")
+    for ch in reversed(word):
         if ch == "x":
             i -= 1
             stack.append(leaf(i))
+        elif len(stack) < p:
+            raise ParseError(f"an operation symbol has fewer than {p} operands: {word!r}")
         else:
             kids = stack[:-p - 1:-1]
             del stack[-p:]
             stack.append(combine(*kids))
+    if len(stack) != 1:
+        raise ParseError(f"expected one bracketing, found {len(stack)}: {word!r}")
     return stack[0]
 
 
@@ -191,23 +188,13 @@ def parse_bracketing(text: str, p: int, format: str = "prefix") -> Bracketing:
 
 
 def _parse_prefix(text: str, p: int) -> Bracketing:
-    frames: list[list[Bracketing]] = [[]]
-    for i, ch in enumerate(text):
-        if len(frames) == 1 and frames[0]:
-            raise ParseError(f"trailing characters at position {i}: {text!r}")
-        if ch == "w":
-            frames.append([])
-            continue
-        if ch != "x":
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-        t = leaf(p)
-        frames[-1].append(t)
-        while len(frames) > 1 and len(frames[-1]) == p:
-            t = node(*frames.pop())
-            frames[-1].append(t)
-    if len(frames) > 1 or not frames[0]:
-        raise ParseError(f"truncated bracketing: {text!r}")
-    return frames[0][0]
+    rest = text.lstrip("wx")
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
+    x = leaf(p)
+    t = _fold(text, p, lambda i: x, lambda *kids: _node_cache.get(kids) or _join(kids))
+    t._word = text
+    return t
 
 
 def _parse_infix(text: str) -> Bracketing:
@@ -229,7 +216,20 @@ def render_bracketing(t: Bracketing, format: str = "prefix") -> str:
     if format == "infix":
         if t.arity != 2:
             raise ValueError("infix notation is only defined for binary bracketings")
-        return _fold(t, lambda i: "x", lambda a, b: f"({a}{b})")
+        out = []
+        missing = []  # children still missing under each open node
+        for ch in _word_of(t):
+            if ch == "w":
+                out.append("(")
+                missing.append(2)
+                continue
+            out.append("x")
+            while missing and missing[-1] == 1:  # this variable completes the node
+                missing.pop()
+                out.append(")")
+            if missing:
+                missing[-1] -= 1
+        return "".join(out)
     raise ValueError(f"unknown format {format!r}; expected 'prefix' or 'infix'")
 
 
@@ -333,7 +333,4 @@ def left_associated(n: int, p: int) -> Bracketing:
     check_int(p, "arity", 2)
     if n < 0:
         raise ValueError(f"occurrence number must be nonnegative, got {n}")
-    t = leaf(p)
-    for _ in range(n):
-        t = node(t, *(leaf(p),) * (p - 1))
-    return t
+    return _parse_prefix("w" * n + "x" * ((p - 1) * n + 1), p)

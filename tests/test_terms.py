@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,15 +48,13 @@ def catalan_rec(n, p):
 
 @st.composite
 def bracketings(draw, max_occ=7, arities=(2, 3, 4)):
+    # grown by the tree-side operator beta through the checked node, so no
+    # prefix-word decoder builds the trees it is used to test
     p = draw(st.sampled_from(arities))
-    n = draw(st.integers(0, max_occ))
-    u = []
-    prev = 1
-    for i in range(1, n + 1):
-        v = draw(st.integers(prev, (p - 1) * (i - 1) + 1))
-        u.append(v)
-        prev = v
-    return a.from_tuple(tuple(u), p)
+    t = a.leaf(p)
+    for _ in range(draw(st.integers(0, max_occ))):
+        t = a.beta(t, draw(st.integers(1, t.length)))
+    return t
 
 
 class TestEnumerate:
@@ -154,7 +153,10 @@ class TestParseRender:
 
     @given(bracketings())
     def test_roundtrip_property(self, t):
-        assert a.parse_bracketing(a.render_bracketing(t), t.arity) == t
+        assert a.parse_bracketing(a.render_bracketing(t), t.arity) is t
+        if t.arity == 2:
+            assert a.parse_bracketing(a.render_bracketing(t, "infix"), 2, "infix") is t
+        assert a.from_tuple(a.to_tuple(t), t.arity) is t
 
     @pytest.mark.parametrize("bad", ["", "w", "wx", "wxxx", "xx", "wxy", "xw", "wwxxxx"])
     def test_prefix_errors(self, bad):
@@ -180,16 +182,48 @@ class TestParseRender:
                     pass
         assert len(accepted) == 9 and accepted == renderings
 
+    @pytest.mark.parametrize("p,alphabet,max_len", [(2, "wxy", 9), (3, "wx", 10)])
+    def test_prefix_accepts_exactly_the_renderings(self, p, alphabet, max_len):
+        # every string up to max_len: 29,524 for p=2, 2,047 for p=3; a word of
+        # level n has p*n + 1 symbols, and anything else must be a ParseError
+        renderings = {a.render_bracketing(t): t
+                      for n in range((max_len - 1) // p + 1) for t in a.enumerate_bracketings(n, p)}
+        accepted = {}
+        for length in range(max_len + 1):
+            for chars in itertools.product(alphabet, repeat=length):
+                text = "".join(chars)
+                try:
+                    accepted[text] = a.parse_bracketing(text, p)
+                except ParseError:
+                    pass
+        assert len(accepted) == len(renderings) and accepted == renderings
+
     @pytest.mark.parametrize("bad", ["wxx", "(xwxx)", "(x y)"])
     def test_infix_rejects_other_symbols(self, bad):
         with pytest.raises(ParseError, match="not a binary infix bracketing"):
             a.parse_bracketing(bad, 2, "infix")
 
     def test_infix_roundtrip_deep(self):
-        t = a.left_associated(3000, 2)
+        t = a.left_associated(30000, 2)
         text = a.render_bracketing(t, "infix")
-        assert text == "(" * 3000 + "x" + "x)" * 3000
+        assert text == "(" * 30000 + "x" + "x)" * 30000
         assert a.parse_bracketing(text, 2, "infix") is t
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_deep_comb_costs_linear_memory(self, side):
+        # built with node, so no word is cached on the comb or its subtrees yet;
+        # one word per subtree would hold about 10**8 characters
+        t = a.leaf(2)
+        for _ in range(10000):
+            t = a.node(t, a.leaf(2)) if side == "left" else a.node(a.leaf(2), t)
+        tracemalloc.start()
+        try:
+            for fmt in ("prefix", "infix"):
+                assert a.parse_bracketing(a.render_bracketing(t, fmt), 2, fmt) is t
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_infix_needs_binary(self):
         with pytest.raises(ValueError):
