@@ -25,6 +25,7 @@ from .terms import (
     enumerate_bracketings,
     leaf,
     left_lengths,
+    left_right_depth,
     node,
 )
 
@@ -204,25 +205,6 @@ def beta(t: Bracketing, i: int) -> Bracketing:
     return out
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def delta(pi: Partition) -> Partition:
     """Push a level-n partition to level n+1 along all occurrence-raising operators.
 
@@ -230,30 +212,40 @@ def delta(pi: Partition) -> Partition:
     connected through operator images of related pairs.  Images are computed
     on prefix words and ranked by the level-(n+1) words; no trees are built.
     ``gamma_i`` wraps a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and
-    ``beta_j`` replaces its j-th ``x`` by ``"w" + "x"*p``.  Every
-    level-(n+1) bracketing is an image, which is asserted rather than assumed.
+    ``beta_j`` replaces its j-th ``x`` by ``"w" + "x"*p``.  The first member
+    of each class anchors it: every later member unions its images with the
+    anchor's, operator by operator.  Every level-(n+1) bracketing is an
+    image, which is asserted rather than assumed.
     """
     n, p = pi.level, pi.arity
     rank = {_word_of(t): r for r, t in enumerate(_level(n + 1, p))}
-    uf = _UnionFind(len(rank))
+    parent = list(range(len(rank)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     touched = bytearray(len(rank))
-    n_ops = p + (p - 1) * n + 1
     xs = "x" * (p - 1)
     grow = "w" + xs
-    first: dict[int, int] = {}  # first image of each (class, operator)
+    anchor: dict[int, list[int]] = {}  # image ranks of each class's first member
     for t, c in zip(_level(n, p), pi.class_of):
         w = _word_of(t)
-        images = ["w" + xs[:i] + w + xs[i:] for i in range(p)]
-        images += [w[:j] + grow + w[j:] for j, ch in enumerate(w) if ch == "x"]
-        for key, image in enumerate(images, start=c * n_ops):
-            ir = rank[image]
+        images = [rank["w" + xs[:i] + w + xs[i:]] for i in range(p)]
+        images += [rank[w[:j] + grow + w[j:]] for j, ch in enumerate(w) if ch == "x"]
+        for ir in images:
             touched[ir] = 1
-            anchor = first.setdefault(key, ir)
-            if anchor != ir:
-                uf.union(anchor, ir)
+        first = anchor.setdefault(c, images)
+        if first is not images:
+            for a, b in zip(first, images):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
     if not all(touched):
         raise AssertionError(f"some level-{n + 1} bracketing is not an operator image")
-    return Partition(n + 1, p, [uf.find(r) for r in range(len(rank))])
+    return Partition(n + 1, p, [find(r) for r in range(len(rank))])
 
 
 @dataclass(frozen=True)
@@ -329,7 +321,8 @@ def tau(n: int, *, min_eggs: int = 3, max_count: int | None = None) -> Partition
 
 def sigma_a(bits, *, max_count: int | None = None) -> SpectrumPrefix:
     """Binary prefix driven by a 0/1 string: push the previous level up on 0,
-    restart at :func:`tau` on 1.  The first five bits must be 0."""
+    restart at :func:`tau` on 1.  The first five bits must be 0, and every
+    level is checked against ``max_count`` before it is built."""
     seq = [int(b) for b in bits]
     if len(seq) < 5:
         raise ValueError(f"need at least five bits, got {len(seq)}")
@@ -339,6 +332,7 @@ def sigma_a(bits, *, max_count: int | None = None) -> SpectrumPrefix:
         raise ValueError("the first five bits must be 0")
     parts = [Partition.full(0, 2)]
     for i in range(1, len(seq)):
+        _level_size(i, 2, max_count)  # delta does not check the level it pushes to
         parts.append(tau(i, max_count=max_count) if seq[i] else delta(parts[-1]))
     return SpectrumPrefix(parts)
 
@@ -359,14 +353,8 @@ def tail_tuple_sigma(n: int, k: int, p: int, *, max_count: int | None = None) ->
 
 
 def dldr_sigma(n: int, *, max_count: int | None = None) -> Partition:
-    """Group a binary level by the depths of the leftmost and rightmost variables.
-
-    Both depths are read off the insertion tuple: entries equal to 1 feed the
-    left depth, entries at their upper bound feed the right depth.
-    """
-    return Partition.from_key(
-        n, 2, lambda u: (u.count(1), sum(e == q for q, e in enumerate(u, start=1))),
-        max_count=max_count)
+    """Group a binary level by the depths of the leftmost and rightmost variables."""
+    return Partition(n, 2, map(left_right_depth, enumerate_bracketings(n, 2, max_count=max_count)))
 
 
 def coatom_census(p: int, *, max_count: int | None = None) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .errors import ParseError, check_int, require_level_cap
+from .errors import ParseError, check_int, require_cap, require_level_cap
 
 DEFAULT_MAX_BRACKETINGS = 10**6
 
@@ -155,14 +155,21 @@ def _level(n: int, p: int) -> tuple[Bracketing, ...]:
 
 
 def _level_size(n: int, p: int, max_count: int | None) -> int:
-    """Number of bracketings with occurrence number ``n``, refused above the cap."""
+    """Number of bracketings with occurrence number ``n``, refused above the cap.
+
+    A level is also refused when its child references (``p`` per bracketing)
+    exceed 64 times the cap, which never refuses a level of arity <= 64.
+    """
     check_int(p, "arity", 2)
     if n < 0:
         raise ValueError(f"occurrence number must be nonnegative, got {n}")
     from .insertion import catalan  # insertion imports this module
 
-    return require_level_cap(n, lambda: catalan(n, p), max_count, DEFAULT_MAX_BRACKETINGS,
-                             f"level {n} holds {{}} bracketings", level=n)
+    count = require_level_cap(n, lambda: catalan(n, p), max_count, DEFAULT_MAX_BRACKETINGS,
+                              f"level {n} holds {{}} bracketings", level=n)
+    cap = DEFAULT_MAX_BRACKETINGS if max_count is None else max_count
+    require_cap(count * p, 64 * cap, 0, f"level {n} holds {{}} child references", level=n)
+    return count
 
 
 def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> list[Bracketing]:
@@ -298,17 +305,7 @@ def egg_pairs(t: Bracketing) -> int:
     """Number of subterm occurrences of the two-variable bracketing ``(xx)``."""
     if t.arity != 2:
         raise ValueError("egg pairs are only defined for binary bracketings")
-    count = 0
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if s.is_leaf:
-            continue
-        if s.children[0].is_leaf and s.children[1].is_leaf:
-            count += 1
-        else:
-            stack.extend(s.children)
-    return count
+    return _word_of(t).count("wxx")  # an operation symbol over two variables
 
 
 def left_right_depth(t: Bracketing) -> tuple[int, int]:

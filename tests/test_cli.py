@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -226,6 +227,21 @@ class TestVerify:
         path.write_text("level=2 p=1500 classes=1\nclass 0: (1,1)\n", encoding="utf-8")
         code, out, err = run(capsys, "verify", "--file", str(path))
         assert code == 2 and out == "" and "1499 bracketings left unclassified" in err
+
+    @pytest.mark.parametrize("header", ["level=1 p=1000000000 classes=1\nclass 0: (1)\n",
+                                        "level=2 p=100000 classes=1\nclass 0: (1,1)\n"])
+    def test_wide_header_is_a_cap_error(self, capsys, tmp_path, header):
+        path = tmp_path / "sigma.txt"
+        path.write_text(header, encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == "" and "child references" in err
+
+    def test_sigma_a_cap_covers_pushed_levels(self, capsys):
+        code, out, err = run(capsys, "verify", "--builtin", "sigma_a:0000000000",
+                             "--max-bracketings", "10")
+        assert code == 3 and out == "" and "level 4 holds 14 bracketings" in err
 
     def test_sigma_a_trimmed_by_max_n(self, capsys):
         code, out, _ = run(capsys, "verify", "--builtin", "sigma_a:0000010", "--max-n", "4")

@@ -374,6 +374,12 @@ class TestSigmaA:
         with pytest.raises(ValueError):
             a.sigma_a(bad)
 
+    def test_cap_applies_to_pushed_levels(self):
+        # levels reached by delta alone are capped too: level 4 holds 14
+        with pytest.raises(CapExceededError) as exc:
+            a.sigma_a("0" * 10, max_count=10)
+        assert exc.value.level == 4 and exc.value.required == 14
+
 
 class TestLeftFactorSigma:
     def test_examples(self):
@@ -434,9 +440,12 @@ class TestDldrSigma:
             assert a.dldr_sigma(n).num_classes == (n * n + n - 2) // 2
 
     def test_matches_tree_depths(self):
-        for n in range(7):
-            trees = a.enumerate_bracketings(n, 2)
-            assert a.dldr_sigma(n) == Partition(n, 2, [a.left_right_depth(t) for t in trees])
+        # oracle on insertion tuples: entries equal to 1 give the left depth,
+        # entries at their upper bound the right depth
+        for n in range(8):
+            key = [(u.count(1), sum(e == q for q, e in enumerate(u, start=1)))
+                   for u in map(a.to_tuple, a.enumerate_bracketings(n, 2))]
+            assert a.dldr_sigma(n) == Partition(n, 2, key)
 
     def test_prefix_closed(self):
         assert a.verify_closed(a.build_prefix(a.dldr_sigma, 6)).closed

@@ -120,6 +120,17 @@ class TestEnumerate:
         assert "at least 2**" in str(exc.value) and len(str(exc.value)) < 100
 
 
+    def test_child_references_capped(self):
+        # a level of one or p trees can still hold p or p**2 child references
+        for n, p in ((1, 10**9), (2, 10**5)):
+            with pytest.raises(CapExceededError, match="child references") as exc:
+                a.enumerate_bracketings(n, p)
+            assert exc.value.required == a.catalan(n, p) * p and exc.value.level == n
+        # 64 references per admitted tree: arity 64 passes wherever the count does
+        assert len(a.enumerate_bracketings(2, 64, max_count=64)) == 64
+        with pytest.raises(CapExceededError, match="child references"):
+            a.enumerate_bracketings(2, 65, max_count=65)
+
     def test_wide_arity_builds_without_recursion(self):
         # one child position per recursion level would overflow the stack here
         (t,) = a.enumerate_bracketings(1, 2000)
@@ -318,10 +329,17 @@ class TestEggPairs:
         assert a.egg_pairs(a.parse_bracketing("(x(x(xx)))", 2, "infix")) == 1
 
     def test_word_count_oracle(self):
-        # a "wxx" substring is exactly an operation symbol over two variables
-        for n in range(7):
+        # egg_pairs counts "wxx" in the prefix word; this oracle walks the tree
+        def walk(t):
+            if t.is_leaf:
+                return 0
+            if all(c.is_leaf for c in t.children):
+                return 1
+            return sum(walk(c) for c in t.children)
+
+        for n in range(8):
             for t in a.enumerate_bracketings(n, 2):
-                assert a.egg_pairs(t) == a.render_bracketing(t).count("wxx")
+                assert a.egg_pairs(t) == walk(t)
 
     def test_three_eggs_need_occ_five(self):
         assert all(a.egg_pairs(t) < 3 for t in a.enumerate_bracketings(4, 2))
