@@ -23,6 +23,7 @@ from .groupoids import (
 from .insertion import catalan, count_m, format_tuple, from_tuple, to_tuple
 from .spectra import (
     SpectrumPrefix,
+    _bit_sequence,
     build_prefix,
     dldr_sigma,
     format_partition,
@@ -98,6 +99,10 @@ def _builtin_prefix(text: str, max_n: int | None, p: int,
     if name == "sigma_a":
         if not param:
             raise ValueError("builtin sigma_a needs a bit string, e.g. sigma_a:000001")
+        horizon = len(_bit_sequence(param)) - 1  # every bit is checked, built or not
+        if max_n is not None:
+            _check_horizon(max_n, horizon, "bit string")
+            param = param[:max(max_n, 4) + 1]
         return _cut(sigma_a(param, max_count=max_count), max_n, "bit string")
     if max_n is None:
         raise ValueError(f"builtin {name!r} needs --max-n")
@@ -121,9 +126,13 @@ def _cut(sigma: SpectrumPrefix, max_n: int | None, source: str) -> SpectrumPrefi
     """The levels 0..max_n of ``sigma``, or all of it when ``max_n`` is ``None``."""
     if max_n is None:
         return sigma
-    if max_n > sigma.horizon:
-        raise ValueError(f"--max-n {max_n} exceeds the {source} horizon {sigma.horizon}")
+    _check_horizon(max_n, sigma.horizon, source)
     return SpectrumPrefix(sigma.partitions[:max_n + 1])
+
+
+def _check_horizon(max_n: int, horizon: int, source: str) -> None:
+    if max_n > horizon:
+        raise ValueError(f"--max-n {max_n} exceeds the {source} horizon {horizon}")
 
 
 def cmd_verify(args) -> int:
@@ -131,7 +140,8 @@ def cmd_verify(args) -> int:
         sigma = _builtin_prefix(args.builtin, args.max_n, args.p, args.max_bracketings)
     else:
         with open(args.file, encoding="utf-8") as fh:
-            sigma = _cut(parse_spectrum_prefix(fh.read()), args.max_n, "file")
+            sigma = _cut(parse_spectrum_prefix(fh.read(), max_count=args.max_bracketings),
+                         args.max_n, "file")
     report = verify_closed(sigma)
     if report.closed:
         print("CLOSED")

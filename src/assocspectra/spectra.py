@@ -6,13 +6,23 @@ starting at 0.  The implication operator :func:`delta` pushes a partition one
 level up along the occurrence-raising operators; a prefix in which each
 pushed partition stays inside the next one is exactly a finite window of the
 fine spectrum of some groupoid, which :func:`verify_closed` decides.
+
+:func:`delta` works on word arrays: it reads the cached prefix words of a
+level into a numpy "is x" array, ranks every operator image in the level
+above by summing entries of a ballot-number table (so that level is never
+built), and unions classes by min-label propagation over the pairs of
+images that each class's first member anchors.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParseError, _show
 from .insertion import catalan, format_tuple, parse_tuple, to_tuple
@@ -76,6 +86,15 @@ class Partition:
         """Group the level by a key function on insertion tuples."""
         trees = enumerate_bracketings(level, arity, max_count=max_count)
         return cls(level, arity, [key(to_tuple(t)) for t in trees])
+
+    @classmethod
+    def _from_ids(cls, level: int, arity: int, ids: np.ndarray) -> "Partition":
+        """Wrap class ids that already count up from 0 in order of first appearance."""
+        pi = cls.__new__(cls)
+        pi.level, pi.arity = level, arity
+        pi.class_of = tuple(ids.tolist())
+        pi.num_classes = int(ids.max()) + 1
+        return pi
 
     @property
     def size(self) -> int:
@@ -205,47 +224,153 @@ def beta(t: Bracketing, i: int) -> Bracketing:
     return out
 
 
+# array cells that one of delta's word-array chunks or edge slices holds
+_CHUNK_CELLS = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _completions(n: int, p: int) -> np.ndarray:
+    """Ballot table for ranking the operator images of level ``n``.
+
+    Entry ``[r, d]`` counts the words of length ``r`` that complete a forest
+    still needing ``d`` trees: ``d/r * C(r, (r - d)/p)`` when ``p`` divides
+    ``r - d`` (Knuth, TAOCP 7.2.1.6), else 0.  Rows reach the level-(n+1)
+    length and columns leave room for the shifts of :func:`_images`.  Entries
+    are computed exactly, then clipped at ``C_{n+1}``: a state that a word
+    of level n or n+1 reaches has no more completions than that, so the
+    clip only touches cells that no rank reads.  The dtype is int32 when
+    the level-(n+1) ranks fit in it, int64 otherwise.
+    """
+    size = catalan(n + 1, p)
+    table = np.zeros((p * n + p + 1, (p - 1) * n + 2 * p + 1),
+                     np.int32 if size < 2**31 else np.int64)
+    table[0, 0] = 1
+    rows, cols = table.shape
+    for r in range(1, rows):
+        for d in range(r % p or p, min(r, cols - 1) + 1, p):
+            count, rest = divmod(d * comb(r, (r - d) // p), r)
+            assert rest == 0, f"ballot number [{r}, {d}] did not divide exactly"
+            table[r, d] = min(count, size)
+    return table
+
+
+def _word_index(words: Sequence[str], p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The "is x" array of equal-length prefix words, and each cell's ballot-table index.
+
+    A variable at position ``i`` with ``d`` trees pending before it
+    indexes the flat table at ``[L - 1 - i, d + p - 1]``: the number of
+    words that share the prefix before ``i`` and put an operation symbol
+    there, so the word's rank is the sum over its variables.  An operation
+    symbol indexes ``[0, p + 1]``, which stays 0 under every shift below.
+    """
+    length = len(words[0])
+    isx = np.frombuffer("".join(words).encode("ascii"), np.uint8).reshape(-1, length) == ord("x")
+    step = np.where(isx, -1, p - 1)
+    pending = np.cumsum(step, axis=1) - step + 1
+    index = np.where(isx, (length - 1 - np.arange(length)) * cols + pending + p - 1, p + 1)
+    return isx, index
+
+
+def _images(words: Sequence[str], first: int, n: int, p: int) -> np.ndarray:
+    """Level-(n+1) ranks of the operator images of consecutive level-n words.
+
+    ``words`` are the words of ranks ``first, first + 1, ...``; the columns
+    are ``gamma_1..gamma_p``, then ``beta_1..beta_{(p-1)n+1}``.
+    """
+    table = _completions(n, p)
+    cols = table.shape[1]
+    flat = table.ravel()
+    isx, index = _word_index(words, p, cols)
+    ranks = np.arange(first, first + len(words), dtype=table.dtype)
+    out = np.empty((len(words), (p - 1) * n + 1 + p), table.dtype)
+    # gamma_{i+1} writes "w x^i" before the word and "x^(p-1-i)" after it:
+    # the head's variables count head[i], the trailing ones nothing, and the
+    # word's own variables read the table s = p-1-i rows down and right
+    length = p * n + 1
+    head = [0]
+    for m in range(1, p):
+        head.append(head[-1] + int(table[length + p - 1 - m, 2 * p - m]))
+    out[:, p - 1] = head[p - 1] + ranks
+    # beta_j inserts "w x^(p-1)" before the j-th variable: its rank sums the
+    # level-(n+1) terms before it, the inserted variables (whose terms are
+    # the gamma shifts s = 1..p-1 at that variable), and the word's own
+    # terms from it on, which keep both the remaining length and the need
+    own = np.take(flat, index)
+    lifted = np.take(flat[p * cols:], index) - own
+    before = np.cumsum(lifted, axis=1, dtype=table.dtype) - lifted + ranks[:, None]
+    for s in range(1, p):
+        shifted = np.take(flat[s * cols + s:], index)
+        out[:, p - 1 - s] = head[p - 1 - s] + shifted.sum(axis=1, dtype=table.dtype)
+        before += shifted
+    out[:, p:] = before[isx].reshape(len(words), -1)
+    return out
+
+
+def _components(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least member of each node's connected component, given the edges ``u[k] -- v[k]``.
+
+    Min-label propagation: each edge hooks the label at either end under
+    the one at the other end when that is smaller, a slice of edges at a
+    time, and pointer jumping then flattens the labels; rounds repeat until
+    one changes nothing.  A label never exceeds its node and never leaves
+    its component, so each component ends labelled by its least member.
+    """
+    label = np.arange(size, dtype=u.dtype)
+    while True:
+        settled = True
+        for lo in range(0, len(u), _CHUNK_CELLS):
+            lu, lv = label[u[lo:lo + _CHUNK_CELLS]], label[v[lo:lo + _CHUNK_CELLS]]
+            if not np.array_equal(lu, lv):
+                settled = False
+                np.minimum.at(label, lu, lv)
+                np.minimum.at(label, lv, lu)
+        if settled:
+            return label
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def delta(pi: Partition) -> Partition:
     """Push a level-n partition to level n+1 along all occurrence-raising operators.
 
     Two level-(n+1) bracketings end up together exactly when they are
-    connected through operator images of related pairs.  Images are computed
-    on prefix words and ranked by the level-(n+1) words; no trees are built.
-    ``gamma_i`` wraps a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and
-    ``beta_j`` replaces its j-th ``x`` by ``"w" + "x"*p``.  The first member
-    of each class anchors it: every later member unions its images with the
-    anchor's, operator by operator.  Every level-(n+1) bracketing is an
-    image, which is asserted rather than assumed.
+    connected through operator images of related pairs.  ``gamma_i`` wraps
+    a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and ``beta_j``
+    replaces its j-th ``x`` by ``"w" + "x"*p``.  The level-n words are read
+    into an "is x" array in row chunks, and each image is ranked in level
+    n+1 by arithmetic on a ballot-number table (:func:`_completions`), so
+    neither level n+1 nor any image word is built.  The first member of
+    each class anchors it: every later member's images are paired with the
+    anchor's, operator by operator, and the classes of level n+1 are the
+    connected components of those pairs (:func:`_components`).  Every
+    rank is asserted to lie in level n+1, and every level-(n+1)
+    bracketing to be an image.
     """
     n, p = pi.level, pi.arity
-    rank = {_word_of(t): r for r, t in enumerate(_level(n + 1, p))}
-    parent = list(range(len(rank)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = bytearray(len(rank))
-    xs = "x" * (p - 1)
-    grow = "w" + xs
-    anchor: dict[int, list[int]] = {}  # image ranks of each class's first member
-    for t, c in zip(_level(n, p), pi.class_of):
-        w = _word_of(t)
-        images = [rank["w" + xs[:i] + w + xs[i:]] for i in range(p)]
-        images += [rank[w[:j] + grow + w[j:]] for j, ch in enumerate(w) if ch == "x"]
-        for ir in images:
-            touched[ir] = 1
-        first = anchor.setdefault(c, images)
-        if first is not images:
-            for a, b in zip(first, images):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    if not all(touched):
+    size = catalan(n + 1, p)
+    trees = _level(n, p)
+    images = np.empty((len(trees), (p - 1) * n + 1 + p), _completions(n, p).dtype)
+    step = max(1, _CHUNK_CELLS // (p * n + 1))
+    for lo in range(0, len(trees), step):
+        images[lo:lo + step] = _images([_word_of(t) for t in trees[lo:lo + step]], lo, n, p)
+    if images.min() < 0 or images.max() >= size:
+        raise AssertionError(f"an operator image is ranked outside level {n + 1}")
+    hit = np.zeros(size, bool)
+    hit[images.ravel()] = True
+    if not hit.all():
         raise AssertionError(f"some level-{n + 1} bracketing is not an operator image")
-    return Partition(n + 1, p, [find(r) for r in range(len(rank))])
+    class_of = np.array(pi.class_of, dtype=np.intp)
+    anchor = np.unique(class_of, return_index=True)[1][class_of]
+    member = np.flatnonzero(anchor != np.arange(len(class_of)))
+    u, v = images[anchor[member]].ravel(), images[member].ravel()
+    del images
+    label = _components(size, u, v)
+    del u, v
+    ids = np.cumsum(label == np.arange(size, dtype=label.dtype)) - 1
+    return Partition._from_ids(n + 1, p, ids[label])
 
 
 @dataclass(frozen=True)
@@ -319,10 +444,8 @@ def tau(n: int, *, min_eggs: int = 3, max_count: int | None = None) -> Partition
         n, 2, [-1 if egg_pairs(t) >= min_eggs else r for r, t in enumerate(trees)])
 
 
-def sigma_a(bits, *, max_count: int | None = None) -> SpectrumPrefix:
-    """Binary prefix driven by a 0/1 string: push the previous level up on 0,
-    restart at :func:`tau` on 1.  The first five bits must be 0, and every
-    level is checked against ``max_count`` before it is built."""
+def _bit_sequence(bits) -> list[int]:
+    """The bits of a :func:`sigma_a` string, refused unless they are 0/1 and start with five 0s."""
     seq = [int(b) for b in bits]
     if len(seq) < 5:
         raise ValueError(f"need at least five bits, got {len(seq)}")
@@ -330,6 +453,14 @@ def sigma_a(bits, *, max_count: int | None = None) -> SpectrumPrefix:
         raise ValueError("bits must be 0 or 1")
     if any(seq[:5]):
         raise ValueError("the first five bits must be 0")
+    return seq
+
+
+def sigma_a(bits, *, max_count: int | None = None) -> SpectrumPrefix:
+    """Binary prefix driven by a 0/1 string: push the previous level up on 0,
+    restart at :func:`tau` on 1.  The first five bits must be 0, and every
+    level is checked against ``max_count`` before it is built."""
+    seq = _bit_sequence(bits)
     parts = [Partition.full(0, 2)]
     for i in range(1, len(seq)):
         _level_size(i, 2, max_count)  # delta does not check the level it pushes to
@@ -394,8 +525,12 @@ def format_partition(pi: Partition) -> str:
     return "\n".join(lines)
 
 
-def parse_partition(text: str) -> Partition:
-    """Inverse of :func:`format_partition`; every bracketing must appear exactly once."""
+def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
+    """Inverse of :func:`format_partition`; every bracketing must appear exactly once.
+
+    The level named in the header is checked against ``max_count`` (the
+    default cap when ``None``) before it is built.
+    """
     lines = text.strip().splitlines()
     if not lines:
         raise ParseError("empty partition block")
@@ -405,8 +540,8 @@ def parse_partition(text: str) -> Partition:
     level, p, n_classes = (int(g) for g in m.groups())
     if p < 2:
         raise ParseError(f"arity in header must be at least 2, got {p}")
-    # the default cap is checked before the level is built
-    rank = {to_tuple(t): r for r, t in enumerate(enumerate_bracketings(level, p))}
+    trees = enumerate_bracketings(level, p, max_count=max_count)
+    rank = {to_tuple(t): r for r, t in enumerate(trees)}
     if len(lines) - 1 != n_classes:
         raise ParseError(f"header announces {n_classes} classes, found {len(lines) - 1} lines")
     labels: dict[int, int] = {}
@@ -439,9 +574,9 @@ def format_spectrum_prefix(sigma: SpectrumPrefix) -> str:
     return "\n\n".join(format_partition(pi) for pi in sigma.partitions)
 
 
-def parse_spectrum_prefix(text: str) -> SpectrumPrefix:
-    """Inverse of :func:`format_spectrum_prefix`."""
+def parse_spectrum_prefix(text: str, *, max_count: int | None = None) -> SpectrumPrefix:
+    """Inverse of :func:`format_spectrum_prefix`; each level is capped before it is built."""
     blocks = [b for b in re.split(r"\n\s*\n", text.strip()) if b.strip()]
     if not blocks:
         raise ParseError("no partition blocks found")
-    return SpectrumPrefix([parse_partition(b) for b in blocks])
+    return SpectrumPrefix([parse_partition(b, max_count=max_count) for b in blocks])

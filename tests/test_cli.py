@@ -249,6 +249,26 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--builtin", "sigma_a:000001", "--max-n", "9")
         assert code == 2
 
+    def test_sigma_a_builds_only_the_levels_asked_for(self, capsys):
+        # level 14 of the full string is over the default cap
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--builtin", "sigma_a:" + "0" * 15, "--max-n", "5")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "CLOSED\n")
+
+    @pytest.mark.parametrize("bits,message", [("00000000a", "invalid literal"),
+                                              ("000000002", "bits must be 0 or 1"),
+                                              ("000010000", "first five bits must be 0")])
+    def test_sigma_a_checks_bits_past_max_n(self, capsys, bits, message):
+        code, out, err = run(capsys, "verify", "--builtin", f"sigma_a:{bits}", "--max-n", "2")
+        assert code == 2 and out == "" and message in err
+
+    def test_file_levels_obey_max_bracketings(self, capsys, tmp_path):
+        path = tmp_path / "sigma.txt"
+        path.write_text(a.format_spectrum_prefix(a.build_prefix(a.tau, 3)), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--file", str(path), "--max-bracketings", "1")
+        assert code == 3 and out == "" and "level 2 holds 2 bracketings" in err
+
     def test_max_n_past_the_horizon_names_the_source(self, capsys, tmp_path):
         path = tmp_path / "sigma.txt"
         path.write_text(a.format_spectrum_prefix(a.build_prefix(a.tau, 3)), encoding="utf-8")

@@ -1,12 +1,14 @@
 import math
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import assocspectra as a
-from assocspectra import CapExceededError, ParseError, Partition, SpectrumPrefix
+from assocspectra import CapExceededError, ParseError, Partition, SpectrumPrefix, spectra
 
 
 def delta_by_trees(pi):
@@ -37,6 +39,33 @@ def delta_by_trees(pi):
             else:
                 anchor[c] = ir
     return Partition(n + 1, p, [find(r) for r in range(len(dst))])
+
+
+def delta_by_words(pi):
+    """Independent push-up oracle: image words ranked by a dict over the level above."""
+    n, p = pi.level, pi.arity
+    words = [a.render_bracketing(t) for t in a.enumerate_bracketings(n, p)]
+    rank = {a.render_bracketing(t): r for r, t in enumerate(a.enumerate_bracketings(n + 1, p))}
+    parent = list(range(len(rank)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    xs = "x" * (p - 1)
+    grow = "w" + xs
+    anchor = {}  # image ranks of each class's first member
+    for w, c in zip(words, pi.class_of):
+        images = [rank["w" + xs[:i] + w + xs[i:]] for i in range(p)]
+        images += [rank[w[:j] + grow + w[j:]] for j, ch in enumerate(w) if ch == "x"]
+        first = anchor.setdefault(c, images)
+        for x, y in zip(first, images):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[ry] = rx
+    return Partition(n + 1, p, [find(r) for r in range(len(rank))])
 
 
 def random_partition(level, arity, rng):
@@ -164,16 +193,70 @@ class TestDelta:
             pi = random_partition(rng.randrange(1, 5), 2, rng)
             assert a.delta(pi) == delta_by_trees(pi)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_tree_oracle_property(self, data):
-        p = data.draw(st.sampled_from([2, 3, 4]))
-        level = data.draw(st.integers(0, {2: 5, 3: 4, 4: 3}[p]))
+        # the word-and-dict oracle is checked on the same draws
+        p = data.draw(st.sampled_from([2, 3, 4, 5]))
+        level = data.draw(st.integers(0, {2: 5, 3: 4, 4: 3, 5: 2}[p]))
         size = a.catalan(level, p)
         k = data.draw(st.integers(1, size))
         pi = Partition(level, p, data.draw(
             st.lists(st.integers(0, k - 1), min_size=size, max_size=size)))
-        assert a.delta(pi) == delta_by_trees(pi)
+        pushed = a.delta(pi)
+        assert pushed == delta_by_trees(pi)
+        assert pushed == delta_by_words(pi)
+
+    @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 4), (5, 4)])
+    def test_arithmetic_rank_is_the_canonical_index(self, p, top):
+        for n in range(top + 1):
+            table = spectra._completions(n, p)
+            words = [a.render_bracketing(t) for t in a.enumerate_bracketings(n, p)]
+            _, index = spectra._word_index(words, p, table.shape[1])
+            ranks = np.take(table.ravel(), index).sum(axis=1)
+            assert ranks.tolist() == list(range(len(words)))
+
+    @pytest.mark.parametrize("p,n", [(2, 0), (2, 9), (3, 6), (5, 4)])
+    def test_images_are_ranked_like_their_words(self, p, n):
+        words = [a.render_bracketing(t) for t in a.enumerate_bracketings(n, p)]
+        rank = {a.render_bracketing(t): r for r, t in enumerate(a.enumerate_bracketings(n + 1, p))}
+        xs = "x" * (p - 1)
+        want = [[rank["w" + xs[:i] + w + xs[i:]] for i in range(p)]
+                + [rank[w[:j] + "w" + xs + w[j:]] for j, ch in enumerate(w) if ch == "x"]
+                for w in words]
+        assert spectra._images(words, 0, n, p).tolist() == want
+
+    @pytest.mark.parametrize("p,n", [(2, 11), (3, 6), (4, 4), (6, 3)])
+    def test_completion_table_matches_count_m(self, p, n):
+        table = spectra._completions(n, p)
+        size = a.catalan(n + 1, p)
+        assert table.dtype == np.int32
+        rows, cols = table.shape
+        assert table[0].tolist() == [1] + [0] * (cols - 1)
+        for r in range(1, rows):
+            for d in range(cols):
+                k, rest = divmod(r - d, p)
+                want = a.count_m(k, d, p) if d >= 1 and k >= 0 and rest == 0 else 0
+                assert table[r, d] == min(want, size), (r, d)
+
+    def test_rank_dtype_widens_past_int32(self):
+        # level 20 of arity 2 has 6.6e9 bracketings; its ballot table is small
+        table = spectra._completions(19, 2)
+        assert table.dtype == np.int64
+        assert table.max() == a.catalan(20, 2)
+
+    def test_peak_memory(self):
+        # a route that materialises whole-level (C, L) int64 temporaries, or a
+        # rank dict over level n+1, peaks above this bound
+        pi = a.left_factor_sigma(10, 2)
+        a.delta(pi)  # caches the levels and the ballot table
+        tracemalloc.start()
+        try:
+            a.delta(pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
 
     def test_total_output(self):
         for n in range(5):
