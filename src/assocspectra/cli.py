@@ -60,6 +60,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.max_n < 0:
+        raise ValueError(f"horizon must be nonnegative, got {args.max_n}")
     with open(args.table, encoding="utf-8") as fh:
         g = load_groupoid(json.load(fh))
     partitions, code = [], 0

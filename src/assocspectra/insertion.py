@@ -53,15 +53,9 @@ def from_tuple(u, p: int) -> Bracketing:
     """
     u = tuple(u)
     _check_member(u, p, 1)
-    n = len(u)
-    chars: list[str] = []
-    i = 0
-    for xs in range((p - 1) * n + 1):
-        while i < n and u[i] == xs + 1:
-            chars.append("w")
-            i += 1
-        chars.append("x")
-    return _parse_prefix("".join(chars), p)
+    # the runs of variables between operation symbols, as to_tuple splits them
+    bounds = (1, *u, (p - 1) * len(u) + 2)
+    return _parse_prefix("w".join("x" * (b - a) for a, b in zip(bounds, bounds[1:])), p)
 
 
 def beta_update(u, i: int, p: int) -> tuple[int, ...]:

@@ -19,13 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParseError, _show
-from .insertion import catalan, format_tuple, parse_tuple, to_tuple
+from .insertion import catalan, count_m, format_tuple, parse_tuple, to_tuple
 from .terms import (
     Bracketing,
     _level,
@@ -233,13 +232,13 @@ def _completions(n: int, p: int) -> np.ndarray:
     """Ballot table for ranking the operator images of level ``n``.
 
     Entry ``[r, d]`` counts the words of length ``r`` that complete a forest
-    still needing ``d`` trees: ``d/r * C(r, (r - d)/p)`` when ``p`` divides
-    ``r - d`` (Knuth, TAOCP 7.2.1.6), else 0.  Rows reach the level-(n+1)
-    length and columns leave room for the shifts of :func:`_images`.  Entries
-    are computed exactly, then clipped at ``C_{n+1}``: a state that a word
-    of level n or n+1 reaches has no more completions than that, so the
-    clip only touches cells that no rank reads.  The dtype is int32 when
-    the level-(n+1) ranks fit in it, int64 otherwise.
+    still needing ``d`` trees: ``|M((r - d)/p, d, p)| = d/r * C(r, (r - d)/p)``
+    (:func:`count_m`) when ``p`` divides ``r - d`` (Knuth, TAOCP 7.2.1.6),
+    else 0.  Rows reach the level-(n+1) length and columns leave room for the
+    shifts of :func:`_images`.  Entries are clipped at ``C_{n+1}``: a state
+    that a word of level n or n+1 reaches has no more completions than that,
+    so the clip only touches cells that no rank reads.  The dtype is int32
+    when the level-(n+1) ranks fit in it, int64 otherwise.
     """
     size = catalan(n + 1, p)
     table = np.zeros((p * n + p + 1, (p - 1) * n + 2 * p + 1),
@@ -248,9 +247,7 @@ def _completions(n: int, p: int) -> np.ndarray:
     rows, cols = table.shape
     for r in range(1, rows):
         for d in range(r % p or p, min(r, cols - 1) + 1, p):
-            count, rest = divmod(d * comb(r, (r - d) // p), r)
-            assert rest == 0, f"ballot number [{r}, {d}] did not divide exactly"
-            table[r, d] = min(count, size)
+            table[r, d] = min(count_m((r - d) // p, d, p), size)
     return table
 
 
@@ -473,6 +470,7 @@ def left_factor_sigma(n: int, k: int, *, max_count: int | None = None) -> Partit
     if k < 1:
         raise ValueError(f"need at least one left factor, got k={k}")
     trees = enumerate_bracketings(n, 2, max_count=max_count)
+    k = min(k, n + 1)  # later entries are 1 on every tree of level n, past its leftmost leaf
     return Partition(n, 2, [left_lengths(t, k) for t in trees])
 
 

@@ -312,11 +312,8 @@ def left_right_depth(t: Bracketing) -> tuple[int, int]:
     """Edge distances from the root to the leftmost and to the rightmost leaf."""
     if t.arity != 2:
         raise ValueError("left/right depths are only defined for binary bracketings")
-    dl = 0
-    s = t
-    while not s.is_leaf:
-        dl += 1
-        s = s.children[0]
+    word = _word_of(t)
+    dl = len(word) - len(word.lstrip("w"))  # the leading operation symbols
     dr = 0
     s = t
     while not s.is_leaf:

@@ -154,6 +154,11 @@ class TestSpectrum:
         sigma = a.parse_spectrum_prefix(blocks)
         assert list(sigma.partitions) == [a.fine_level(g, n) for n in range(4)]
 
+    def test_negative_horizon_is_a_usage_error(self, capsys, tmp_path):
+        path = self.write(tmp_path, a.dump_groupoid(a.gallery("egg4")))
+        code, out, err = run(capsys, "spectrum", path, "--max-n", "-1")
+        assert (code, out) == (2, "") and "horizon must be nonnegative, got -1" in err
+
     def test_schema_error(self, capsys, tmp_path):
         path = self.write(tmp_path, {"p": 2, "size": 2, "table": [0, 0, 0]})
         code, _, err = run(capsys, "spectrum", path, "--max-n", "2")
@@ -179,6 +184,13 @@ class TestVerify:
     @pytest.mark.parametrize("builtin", ["left_factor:2", "tail:2", "dldr", "tau"])
     def test_builtins_closed(self, capsys, builtin):
         code, out, _ = run(capsys, "verify", "--builtin", builtin, "--max-n", "6")
+        assert (code, out) == (0, "CLOSED\n")
+
+    def test_left_factor_huge_k(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--builtin", "left_factor:1000000000",
+                           "--max-n", "6")
+        assert time.perf_counter() - start < 1
         assert (code, out) == (0, "CLOSED\n")
 
     def test_sigma_a_closed(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -228,16 +229,19 @@ class TestDelta:
 
     @pytest.mark.parametrize("p,n", [(2, 11), (3, 6), (4, 4), (6, 3)])
     def test_completion_table_matches_count_m(self, p, n):
+        # brute oracle for the count_m entries: a {w, x} word completes a forest
+        # needing d trees when its need, starting at d, first reaches 0 at its end
         table = spectra._completions(n, p)
         size = a.catalan(n + 1, p)
         assert table.dtype == np.int32
         rows, cols = table.shape
-        assert table[0].tolist() == [1] + [0] * (cols - 1)
-        for r in range(1, rows):
-            for d in range(cols):
-                k, rest = divmod(r - d, p)
-                want = a.count_m(k, d, p) if d >= 1 and k >= 0 and rest == 0 else 0
-                assert table[r, d] == min(want, size), (r, d)
+        for r in range(min(rows, 13)):
+            want = [0] * cols
+            for word in itertools.product((p - 1, -1), repeat=r):
+                sums = list(itertools.accumulate(word, initial=0))
+                if -sums[-1] < cols and min(sums[:-1], default=1) > sums[-1]:
+                    want[-sums[-1]] += 1
+            assert table[r].tolist() == [min(w, size) for w in want], r
 
     def test_rank_dtype_widens_past_int32(self):
         # level 20 of arity 2 has 6.6e9 bracketings; its ballot table is small
@@ -475,6 +479,13 @@ class TestLeftFactorSigma:
             for n in range(1, 9):
                 want = sum(math.comb(n - 1, i) for i in range(k + 1))
                 assert a.left_factor_sigma(n, k).num_classes == want
+
+    def test_huge_k_reads_only_the_lengths_that_differ(self):
+        # the entries past n + 1 are 1 on every tree, so they separate nothing
+        for n in range(9):
+            trees = a.enumerate_bracketings(n, 2)
+            wide = Partition(n, 2, [a.left_lengths(t, n + 3) for t in trees])
+            assert a.left_factor_sigma(n, 10**9) == a.left_factor_sigma(n, n + 1) == wide
 
 
 class TestTailTupleSigma:

@@ -365,6 +365,15 @@ class TestLeftRightDepth:
                 dr = len(s) - len(s.rstrip(")"))
                 assert a.left_right_depth(t) == (dl, dr)
 
+    def test_left_spine_walk_oracle(self):
+        # an independent route to dl: follow first children down to a leaf
+        for n in range(9):
+            for t in a.enumerate_bracketings(n, 2):
+                dl, s = 0, t
+                while not s.is_leaf:
+                    dl, s = dl + 1, s.children[0]
+                assert a.left_right_depth(t)[0] == dl
+
     def test_tuple_formulas(self):
         for n in range(7):
             for t in a.enumerate_bracketings(n, 2):
