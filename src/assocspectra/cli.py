@@ -20,7 +20,7 @@ from .groupoids import (
     gallery,
     load_groupoid,
 )
-from .insertion import catalan, count_m, format_tuple, from_tuple, to_tuple
+from .insertion import _tuple_columns, catalan, count_m, format_tuple, from_tuple
 from .spectra import (
     SpectrumPrefix,
     _bit_sequence,
@@ -34,17 +34,21 @@ from .spectra import (
     tau,
     verify_closed,
 )
-from .terms import enumerate_bracketings, render_bracketing
+from .terms import _infix, _level, _level_size, _row_chunks, _texts, render_bracketing
 
 
 def cmd_enum(args) -> int:
     if args.format == "infix" and args.p != 2:
         raise ValueError("infix output needs --p 2")
-    for t in enumerate_bracketings(args.n, args.p, max_count=args.max_bracketings):
+    _level_size(args.n, args.p, args.max_bracketings)
+    for _, words in _row_chunks(_level(args.n, args.p)):
         if args.format == "tuple":
-            print(format_tuple(to_tuple(t)))
+            lines = map(format_tuple, _tuple_columns(words, args.n).tolist())
+        elif args.format == "infix":
+            lines = map(_infix, _texts(words))
         else:
-            print(render_bracketing(t, args.format))
+            lines = _texts(words)
+        sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

@@ -17,15 +17,17 @@ import numpy as np
 
 from .errors import CapExceededError, SchemaError, check_int, require_cap, require_level_cap
 from .insertion import catalan
-from .spectra import Partition, SpectrumPrefix, verify_closed
+from .spectra import Partition, SpectrumPrefix, _depths, _group_rows, _level_rows, verify_closed
 from .terms import (
+    _CHUNK_CELLS,
     Bracketing,
+    _children,
     _fold,
     _level,
     _level_size,
+    _texts,
     _word_of,
-    leaf,
-    left_right_depth,
+    enumerate_bracketings,
     node,
     render_bracketing,
 )
@@ -214,16 +216,19 @@ def fine_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
             break
     op = g._array
     tables = [np.arange(g.size, dtype=op.dtype)]  # one per class id, all kept levels
-    class_of = {leaf(g.arity): 0}
+    class_ids = np.zeros(1, np.intp)  # of every kept bracketing, level after level
+    start = [0]  # where each kept level begins in class_ids
     if top >= 0:
         yield Partition(0, g.arity, [0])
     for n in range(1, top + 1):
         base = len(tables)
-        keys = (tuple(map(class_of.__getitem__, t.children)) for t in _level(n, g.arity))
-        labels = _top_classes(op, tables, keys, keep=n < top)
-        yield Partition(n, g.arity, labels)
+        ranks, levels = _children(n, g.arity)
+        keys, which = _group_rows(class_ids[np.array(start)[levels] + ranks])
+        labels = np.array(_top_classes(op, tables, keys.tolist(), keep=n < top))[which]
+        yield Partition._from_ids(n, g.arity, labels)
         if n < top:
-            class_of.update((t, base + c) for t, c in zip(_level(n, g.arity), labels))
+            start.append(len(class_ids))
+            class_ids = np.concatenate([class_ids, base + labels])
     if refusal:
         raise refusal
 
@@ -253,38 +258,34 @@ def _fingerprint(values: np.ndarray) -> int:
 
 
 def _top_classes(op: np.ndarray, tables: list[np.ndarray], keys, keep: bool = False) -> list[int]:
-    """Class ids of a level's child-class keys, counted up by first appearance.
+    """Class ids of a level's distinct child-class keys, counted up by first appearance.
 
-    Each new key's table is computed and fingerprinted; only ``np.array_equal``
+    Each key's table is computed and fingerprinted; only ``np.array_equal``
     against a class representative merges it.  With ``keep``, each new class
     appends its table to ``tables``, copied into one array that owns its cells.
     Without it, a class keeps its first key and no table until a later
     fingerprint matches it; the table is then rebuilt from that key and kept,
     so singletons keep none.
     """
-    by_key: dict[tuple[int, ...], int] = {}
     by_print: dict[int, list[int]] = {}  # fingerprint -> candidate class ids
-    rep_keys: list[tuple[int, ...]] = []
+    rep_keys: list[list[int]] = []
     rep_tables: dict[int, np.ndarray] = {}
     labels = []
     for key in keys:
-        c = by_key.get(key)
-        if c is None:
-            values = _gather(op, [tables[k] for k in key])
-            candidates = by_print.setdefault(_fingerprint(values), [])
-            for c in candidates:
-                if c not in rep_tables:
-                    rep_tables[c] = _gather(op, [tables[k] for k in rep_keys[c]])
-                if np.array_equal(values, rep_tables[c]):
-                    break
-            else:
-                c = len(rep_keys)
-                rep_keys.append(key)
-                candidates.append(c)
-                if keep:
-                    rep_tables[c] = values = values.copy()
-                    tables.append(values)
-            by_key[key] = c
+        values = _gather(op, [tables[k] for k in key])
+        candidates = by_print.setdefault(_fingerprint(values), [])
+        for c in candidates:
+            if c not in rep_tables:
+                rep_tables[c] = _gather(op, [tables[k] for k in rep_keys[c]])
+            if np.array_equal(values, rep_tables[c]):
+                break
+        else:
+            c = len(rep_keys)
+            rep_keys.append(key)
+            candidates.append(c)
+            if keep:
+                rep_tables[c] = values = values.copy()
+                tables.append(values)
         labels.append(c)
     return labels
 
@@ -359,7 +360,7 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
     element: dict[Bracketing, int] = {}  # every bracketing below the cut -> its class
     for m in range(cut):
         base = len(representatives)
-        for t, c in zip(_level(m, p), sigma.partitions[m].class_of):
+        for t, c in zip(enumerate_bracketings(m, p), sigma.partitions[m].class_of):
             if base + c == len(representatives):  # class ids count up by first appearance
                 representatives.append(t)
                 names.append(f"[{render_bracketing(t)}]")
@@ -571,43 +572,47 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
             out[:, degree:] = (coeff * block[:, :truncation - degree]) % 6
         return out
 
-    mismatches = []
-    closed_form = {}  # (dl, dr) -> wanted value, computed on first use
+    # the wanted value depends only on (dl, dr); the single variable is its argument
+    depths, which = _group_rows(_level_rows(level, 2, _depths, max_count))
+    want = np.stack([args[:, 0, :]] if level == 0 else [
+        (shifted(args[:, 0, :], dl, pow(3, dl, 6))
+         + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6 for dl, dr in depths.tolist()])
+    bad = []
     # residues stay below 3*5 + 2*5 = 25 inside _ring_op, so int8 holds them
-    for t, got in _ring_level(args.astype(np.int8), level):
-        if t.occ == 0:
-            want = args[:, 0, :]
-        else:
-            dl, dr = depths = left_right_depth(t)
-            if depths not in closed_form:
-                closed_form[depths] = (shifted(args[:, 0, :], dl, pow(3, dl, 6))
-                                       + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6
-            want = closed_form[depths]
-        if not np.array_equal(got, want):
-            mismatches.append(render_bracketing(t))
+    for ranks, got in _ring_level(args.astype(np.int8), level):
+        bad += ranks[(got != want[which[ranks]]).any(axis=(1, 2))].tolist()
+    mismatches = _texts(_level(level, 2)[sorted(bad)])
     return RingCheckReport(truncation, level, trials, count, tuple(mismatches))
 
 
 def _ring_level(args: np.ndarray, level: int):
-    """Yield each binary bracketing of ``level``, in canonical order, with its ring value.
+    """Yield the ring values of the binary bracketings of ``level``, block by block.
 
-    ``args`` has shape ``(trials, level + 1, truncation)``.  Every tree of
-    the lower levels is evaluated once, at all of its leaf offsets at the
-    same time: its values have shape ``(trials, offsets, truncation)``.  A
-    level tree is then one :func:`_ring_op` over its children's slices, and
-    its value, of shape ``(trials, truncation)``, is not stored.
+    ``args`` has shape ``(trials, level + 1, truncation)``.  Every bracketing
+    of the lower levels is evaluated once, at all of its leaf offsets at the
+    same time: level m keeps values of shape ``(count, trials, offsets,
+    truncation)``.  A block of bracketings that share a left child level is
+    one :func:`_ring_op` over its children's slices.  Each block yields its
+    ranks and its values, of shape ``(len(ranks), trials, truncation)``,
+    which are not stored.
     """
     if level == 0:
-        yield leaf(2), args[:, 0]
+        yield np.zeros(1, np.intp), args[None, :, 0]
         return
-    below = {leaf(2): args}  # tree -> its values at leaf offsets 0..level-occ
+    below = [args[None]]  # per level: values at leaf offsets 0..level-m
     for m in range(1, level + 1):
         offsets = level - m + 1
-        for t in _level(m, 2):
-            left, right = t.children
-            got = _ring_op(below[left][:, :offsets],
-                           below[right][:, left.occ + 1:left.occ + 1 + offsets])
-            if m < level:
-                below[t] = got
-            else:
-                yield t, got[:, 0]
+        ranks, levels = _children(m, 2)
+        if m < level:
+            kept = np.empty((len(ranks), args.shape[0], offsets, args.shape[2]), args.dtype)
+            below.append(kept)
+        step = max(1, _CHUNK_CELLS // (args.shape[0] * offsets * args.shape[2]))
+        for left in range(m):
+            block = np.flatnonzero(levels[:, 0] == left)
+            for rows in np.split(block, range(step, len(block), step)):
+                got = _ring_op(below[left][ranks[rows, 0], :, :offsets],
+                               below[m - 1 - left][ranks[rows, 1], :, left + 1:left + 1 + offsets])
+                if m < level:
+                    kept[rows] = got
+                else:
+                    yield rows, got[:, :, 0]

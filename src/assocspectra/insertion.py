@@ -4,10 +4,10 @@ The insertion tuple of a bracketing records, for each operation symbol in
 prefix order, one plus the number of variables occurring before it.  This is
 a bijection between the level of occurrence number ``n`` and the weakly
 increasing n-tuples with ``u_i <= (p - 1)*(i - 1) + 1``; it is computed from
-and to prefix words, and the levels themselves are stored and ranked by
-:mod:`assocspectra.terms` alone.  Relaxing the bound offset from 1 to ``k``
-yields the counted family ``M(n, k, p)``; all counts are exact unbounded
-integers.
+and to prefix words, one at a time or as rows of a word array, and the
+levels themselves are stored and ranked by :mod:`assocspectra.terms` alone.
+Relaxing the bound offset from 1 to ``k`` yields the counted family
+``M(n, k, p)``; all counts are exact unbounded integers.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from itertools import accumulate
 from math import comb
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ParseError, check_int, require_level_cap
-from .terms import DEFAULT_MAX_BRACKETINGS, Bracketing, _parse_prefix, _word_of
+from .terms import _W, _X, DEFAULT_MAX_BRACKETINGS, Bracketing, _parse_prefix, _word_of
 
 
 def to_tuple(t: Bracketing) -> tuple[int, ...]:
@@ -31,6 +33,24 @@ def to_tuple(t: Bracketing) -> tuple[int, ...]:
     if len(runs) == 1:
         return ()
     return tuple(accumulate(map(len, runs[1:-1]), initial=1))
+
+
+def _tuple_columns(words: np.ndarray, n: int) -> np.ndarray:
+    """Insertion tuples of the rows of a level-n word array, one row each.
+
+    Entry ``i`` is 1 plus the number of variables before the i-th operation
+    symbol, which has ``i - 1`` operation symbols before it.
+    """
+    where = np.nonzero(words == _W)[1].reshape(len(words), n)
+    return where - np.arange(n) + 1
+
+
+def _tuple_words(tuples, n: int, p: int) -> np.ndarray:
+    """Word array of level-n insertion tuples; inverse of :func:`_tuple_columns`."""
+    words = np.full((len(tuples), p * n + 1), _X, np.uint8)
+    where = np.array(tuples, np.intp).reshape(len(tuples), n) + np.arange(n) - 1
+    np.put_along_axis(words, where, _W, axis=1)
+    return words
 
 
 def _check_member(u: tuple[int, ...], p: int, k: int) -> None:

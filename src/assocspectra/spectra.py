@@ -7,34 +7,43 @@ level up along the occurrence-raising operators; a prefix in which each
 pushed partition stays inside the next one is exactly a finite window of the
 fine spectrum of some groupoid, which :func:`verify_closed` decides.
 
-:func:`delta` works on word arrays: it reads the cached prefix words of a
-level into a numpy "is x" array, ranks every operator image in the level
-above by summing entries of a ballot-number table (so that level is never
-built), and unions classes by min-label propagation over the pairs of
-images that each class's first member anchors.
+:func:`delta` and the named spectra work on the word array of a level
+(``terms._level``) in row chunks: :func:`delta` ranks every operator image
+in the level above by summing entries of the ballot table (so that level is
+never built) and unions classes by min-label propagation over the pairs of
+images that each class's first member anchors; a named spectrum is a
+statistic of the rows, grouped by :func:`_group_rows`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParseError, _show
-from .insertion import catalan, count_m, format_tuple, parse_tuple, to_tuple
+from .insertion import (
+    _check_member,
+    _tuple_columns,
+    _tuple_words,
+    catalan,
+    format_tuple,
+    parse_tuple,
+)
 from .terms import (
+    _CHUNK_CELLS,
+    _W,
+    _X,
     Bracketing,
+    _completions,
     _level,
     _level_size,
-    _word_of,
-    egg_pairs,
-    enumerate_bracketings,
+    _rank,
+    _row_chunks,
+    _word_index,
     leaf,
-    left_lengths,
-    left_right_depth,
     node,
 )
 
@@ -80,13 +89,6 @@ class Partition:
         return cls(level, arity, [0] * _level_size(level, arity, max_count))
 
     @classmethod
-    def from_key(cls, level: int, arity: int, key: Callable, *,
-                 max_count: int | None = None) -> "Partition":
-        """Group the level by a key function on insertion tuples."""
-        trees = enumerate_bracketings(level, arity, max_count=max_count)
-        return cls(level, arity, [key(to_tuple(t)) for t in trees])
-
-    @classmethod
     def _from_ids(cls, level: int, arity: int, ids: np.ndarray) -> "Partition":
         """Wrap class ids that already count up from 0 in order of first appearance."""
         pi = cls.__new__(cls)
@@ -125,6 +127,21 @@ class Partition:
 
     def __repr__(self):
         return f"Partition(level={self.level}, p={self.arity}, classes={self.num_classes})"
+
+
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``keys`` in order of first appearance, and each row's index there."""
+    distinct, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return distinct[order], position[inverse.reshape(-1)]
+
+
+def _level_rows(n: int, p: int, stat: Callable, max_count: int | None) -> np.ndarray:
+    """``stat(first rank, rows)`` over the row chunks of level ``n``, stacked; capped first."""
+    _level_size(n, p, max_count)
+    return np.concatenate([stat(lo, rows) for lo, rows in _row_chunks(_level(n, p))])
 
 
 def _refinement_witness(finer: Partition, coarser: Partition) -> tuple[int, int] | None:
@@ -223,82 +240,39 @@ def beta(t: Bracketing, i: int) -> Bracketing:
     return out
 
 
-# array cells that one of delta's word-array chunks or edge slices holds
-_CHUNK_CELLS = 1 << 16
-
-
-@lru_cache(maxsize=None)
-def _completions(n: int, p: int) -> np.ndarray:
-    """Ballot table for ranking the operator images of level ``n``.
-
-    Entry ``[r, d]`` counts the words of length ``r`` that complete a forest
-    still needing ``d`` trees: ``|M((r - d)/p, d, p)| = d/r * C(r, (r - d)/p)``
-    (:func:`count_m`) when ``p`` divides ``r - d`` (Knuth, TAOCP 7.2.1.6),
-    else 0.  Rows reach the level-(n+1) length and columns leave room for the
-    shifts of :func:`_images`.  Entries are clipped at ``C_{n+1}``: a state
-    that a word of level n or n+1 reaches has no more completions than that,
-    so the clip only touches cells that no rank reads.  The dtype is int32
-    when the level-(n+1) ranks fit in it, int64 otherwise.
-    """
-    size = catalan(n + 1, p)
-    table = np.zeros((p * n + p + 1, (p - 1) * n + 2 * p + 1),
-                     np.int32 if size < 2**31 else np.int64)
-    table[0, 0] = 1
-    rows, cols = table.shape
-    for r in range(1, rows):
-        for d in range(r % p or p, min(r, cols - 1) + 1, p):
-            table[r, d] = min(count_m((r - d) // p, d, p), size)
-    return table
-
-
-def _word_index(words: Sequence[str], p: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The "is x" array of equal-length prefix words, and each cell's ballot-table index.
-
-    A variable at position ``i`` with ``d`` trees pending before it
-    indexes the flat table at ``[L - 1 - i, d + p - 1]``: the number of
-    words that share the prefix before ``i`` and put an operation symbol
-    there, so the word's rank is the sum over its variables.  An operation
-    symbol indexes ``[0, p + 1]``, which stays 0 under every shift below.
-    """
-    length = len(words[0])
-    isx = np.frombuffer("".join(words).encode("ascii"), np.uint8).reshape(-1, length) == ord("x")
-    step = np.where(isx, -1, p - 1)
-    pending = np.cumsum(step, axis=1) - step + 1
-    index = np.where(isx, (length - 1 - np.arange(length)) * cols + pending + p - 1, p + 1)
-    return isx, index
-
-
-def _images(words: Sequence[str], first: int, n: int, p: int) -> np.ndarray:
+def _images(words: np.ndarray, first: int, n: int, p: int) -> np.ndarray:
     """Level-(n+1) ranks of the operator images of consecutive level-n words.
 
-    ``words`` are the words of ranks ``first, first + 1, ...``; the columns
-    are ``gamma_1..gamma_p``, then ``beta_1..beta_{(p-1)n+1}``.
+    ``words`` are the word-array rows of ranks ``first, first + 1, ...``; the
+    columns are ``gamma_1..gamma_p``, then ``beta_1..beta_{(p-1)n+1}``.
     """
     table = _completions(n, p)
     cols = table.shape[1]
     flat = table.ravel()
-    isx, index = _word_index(words, p, cols)
+    isx, index = _word_index(words, n, cols)
     ranks = np.arange(first, first + len(words), dtype=table.dtype)
     out = np.empty((len(words), (p - 1) * n + 1 + p), table.dtype)
     # gamma_{i+1} writes "w x^i" before the word and "x^(p-1-i)" after it:
     # the head's variables count head[i], the trailing ones nothing, and the
-    # word's own variables read the table s = p-1-i rows down and right
+    # word's own variables read the table s = p-1-i rows down
     length = p * n + 1
-    head = [0]
-    for m in range(1, p):
-        head.append(head[-1] + int(table[length + p - 1 - m, 2 * p - m]))
+    head = np.zeros(p, table.dtype)
+    np.cumsum(table[length + p - 2:length - 1:-1, n], out=head[1:])
     out[:, p - 1] = head[p - 1] + ranks
     # beta_j inserts "w x^(p-1)" before the j-th variable: its rank sums the
     # level-(n+1) terms before it, the inserted variables (whose terms are
     # the gamma shifts s = 1..p-1 at that variable), and the word's own
     # terms from it on, which keep both the remaining length and the need
     own = np.take(flat, index)
-    lifted = np.take(flat[p * cols:], index) - own
+    lifted = np.take(flat[p * cols + 1:], index) - own
     before = np.cumsum(lifted, axis=1, dtype=table.dtype) - lifted + ranks[:, None]
-    for s in range(1, p):
-        shifted = np.take(flat[s * cols + s:], index)
+    # the shifts go in blocks of at most _CHUNK_CELLS cells, or one shift each
+    step = max(1, _CHUNK_CELLS // index.size)
+    for lo in range(1, p, step):
+        s = np.arange(lo, min(lo + step, p))
+        shifted = np.take(flat, index[:, :, None] + s * cols)
         out[:, p - 1 - s] = head[p - 1 - s] + shifted.sum(axis=1, dtype=table.dtype)
-        before += shifted
+        before += shifted.sum(axis=2, dtype=table.dtype)
     out[:, p:] = before[isx].reshape(len(words), -1)
     return out
 
@@ -337,8 +311,8 @@ def delta(pi: Partition) -> Partition:
     connected through operator images of related pairs.  ``gamma_i`` wraps
     a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and ``beta_j``
     replaces its j-th ``x`` by ``"w" + "x"*p``.  The level-n words are read
-    into an "is x" array in row chunks, and each image is ranked in level
-    n+1 by arithmetic on a ballot-number table (:func:`_completions`), so
+        array's rows in chunks, and each image is ranked in level
+    n+1 by arithmetic on the ballot table (``terms._completions``), so
     neither level n+1 nor any image word is built.  The first member of
     each class anchors it: every later member's images are paired with the
     anchor's, operator by operator, and the classes of level n+1 are the
@@ -348,11 +322,10 @@ def delta(pi: Partition) -> Partition:
     """
     n, p = pi.level, pi.arity
     size = catalan(n + 1, p)
-    trees = _level(n, p)
-    images = np.empty((len(trees), (p - 1) * n + 1 + p), _completions(n, p).dtype)
-    step = max(1, _CHUNK_CELLS // (p * n + 1))
-    for lo in range(0, len(trees), step):
-        images[lo:lo + step] = _images([_word_of(t) for t in trees[lo:lo + step]], lo, n, p)
+    words = _level(n, p)
+    images = np.empty((len(words), (p - 1) * n + 1 + p), _completions(n, p).dtype)
+    for lo, rows in _row_chunks(words):
+        images[lo:lo + len(rows)] = _images(rows, lo, n, p)
     if images.min() < 0 or images.max() >= size:
         raise AssertionError(f"an operator image is ranked outside level {n + 1}")
     hit = np.zeros(size, bool)
@@ -390,8 +363,8 @@ def verify_closed(sigma: SpectrumPrefix) -> ClosureReport:
         pushed = delta(sigma.partitions[n])
         witness = _refinement_witness(pushed, sigma.partitions[n + 1])
         if witness is not None:
-            trees = _level(n + 1, sigma.arity)
-            return ClosureReport(False, n, tuple(to_tuple(trees[r]) for r in witness))
+            rows = _level(n + 1, sigma.arity)[list(witness)]
+            return ClosureReport(False, n, tuple(map(tuple, _tuple_columns(rows, n + 1).tolist())))
     return ClosureReport(True)
 
 
@@ -436,9 +409,11 @@ def covers(lower: SpectrumPrefix, upper: SpectrumPrefix) -> bool:
 def tau(n: int, *, min_eggs: int = 3, max_count: int | None = None) -> Partition:
     """One class for the binary bracketings with at least ``min_eggs`` egg pairs,
     singletons elsewhere; the equality partition when fewer than two qualify."""
-    trees = enumerate_bracketings(n, 2, max_count=max_count)
-    return Partition(
-        n, 2, [-1 if egg_pairs(t) >= min_eggs else r for r, t in enumerate(trees)])
+    def key(lo: int, w: np.ndarray) -> np.ndarray:
+        eggs = ((w[:, :-2] == _W) & (w[:, 1:-1] == _X) & (w[:, 2:] == _X)).sum(axis=1)
+        return np.where(eggs >= min_eggs, -1, np.arange(lo, lo + len(w)))[:, None]
+
+    return Partition._from_ids(n, 2, _group_rows(_level_rows(n, 2, key, max_count))[1])
 
 
 def _bit_sequence(bits) -> list[int]:
@@ -465,25 +440,49 @@ def sigma_a(bits, *, max_count: int | None = None) -> SpectrumPrefix:
     return SpectrumPrefix(parts)
 
 
+def _binary_need(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each cell of binary words is ``w``, and the trees still needed after it."""
+    isw = w == _W
+    return isw, 2 * np.cumsum(isw, axis=1) - np.arange(w.shape[1])
+
+
 def left_factor_sigma(n: int, k: int, *, max_count: int | None = None) -> Partition:
     """Group a binary level by the lengths of the first ``k`` iterated left factors."""
     if k < 1:
         raise ValueError(f"need at least one left factor, got k={k}")
-    trees = enumerate_bracketings(n, 2, max_count=max_count)
     k = min(k, n + 1)  # later entries are 1 on every tree of level n, past its leftmost leaf
-    return Partition(n, 2, [left_lengths(t, k) for t in trees])
+
+    def key(lo: int, w: np.ndarray) -> np.ndarray:
+        # the s-th left factor starts at position s while s <= dl and ends where
+        # the need first falls to s; past the leftmost leaf its length is 1
+        isw, need = _binary_need(w)
+        dl = (~isw).argmax(axis=1)
+        out = np.ones((len(w), k), np.intp)
+        for s in range(1, min(k, n) + 1):
+            end = (need[:, s:] == s).argmax(axis=1) + s
+            out[:, s - 1] = np.where(s <= dl, (end - s + 2) // 2, 1)
+        return out
+
+    return Partition._from_ids(n, 2, _group_rows(_level_rows(n, 2, key, max_count))[1])
 
 
 def tail_tuple_sigma(n: int, k: int, p: int, *, max_count: int | None = None) -> Partition:
     """Group a level by the last ``k`` insertion-tuple entries; equality below level ``k``."""
     if k < 1:
         raise ValueError(f"need at least one tail entry, got k={k}")
-    return Partition.from_key(n, p, lambda u: u[max(n - k, 0):], max_count=max_count)
+    keys = _level_rows(n, p, lambda lo, w: _tuple_columns(w, n)[:, max(n - k, 0):], max_count)
+    return Partition._from_ids(n, p, _group_rows(keys)[1])
+
+
+def _depths(lo: int, w: np.ndarray) -> np.ndarray:
+    """``(dl, dr)`` of binary words: the leading ``w`` run, and the ``w`` needing one tree."""
+    isw, need = _binary_need(w)
+    return np.stack([(~isw).argmax(axis=1), (isw & (need == 2)).sum(axis=1)], axis=1)
 
 
 def dldr_sigma(n: int, *, max_count: int | None = None) -> Partition:
     """Group a binary level by the depths of the leftmost and rightmost variables."""
-    return Partition(n, 2, map(left_right_depth, enumerate_bracketings(n, 2, max_count=max_count)))
+    return Partition._from_ids(n, 2, _group_rows(_level_rows(n, 2, _depths, max_count))[1])
 
 
 def coatom_census(p: int, *, max_count: int | None = None) -> int:
@@ -516,10 +515,12 @@ _CLASS_RE = re.compile(r"class (\d+):\s*(.*)$")
 
 def format_partition(pi: Partition) -> str:
     """Render a partition block: a header line, then one line per class."""
-    trees = _level(pi.level, pi.arity)
+    texts = []
+    for _, rows in _row_chunks(_level(pi.level, pi.arity)):
+        texts += map(format_tuple, _tuple_columns(rows, pi.level).tolist())
     lines = [f"level={pi.level} p={pi.arity} classes={pi.num_classes}"]
     for cid, ranks in enumerate(pi.classes()):
-        lines.append(f"class {cid}: " + " ".join(format_tuple(to_tuple(trees[r])) for r in ranks))
+        lines.append(f"class {cid}: " + " ".join(texts[r] for r in ranks))
     return "\n".join(lines)
 
 
@@ -527,7 +528,9 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
     """Inverse of :func:`format_partition`; every bracketing must appear exactly once.
 
     The level named in the header is checked against ``max_count`` (the
-    default cap when ``None``) before it is built.
+    default cap when ``None``) first; the level itself is never built, since
+    each member's word is ranked with the ballot table.  Of several faults,
+    the first in reading order is reported.
     """
     lines = text.strip().splitlines()
     if not lines:
@@ -538,33 +541,46 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
     level, p, n_classes = (int(g) for g in m.groups())
     if p < 2:
         raise ParseError(f"arity in header must be at least 2, got {p}")
-    trees = enumerate_bracketings(level, p, max_count=max_count)
-    rank = {to_tuple(t): r for r, t in enumerate(trees)}
+    count = _level_size(level, p, max_count)
     if len(lines) - 1 != n_classes:
         raise ParseError(f"header announces {n_classes} classes, found {len(lines) - 1} lines")
-    labels: dict[int, int] = {}
-    for expected_id, line in enumerate(lines[1:]):
-        m = _CLASS_RE.match(line.strip())
-        if not m:
-            raise ParseError(f"bad class line: {line!r}")
-        cid = int(m.group(1))
-        if cid != expected_id:
-            raise ParseError(f"class ids must count up from 0, got {cid}")
-        members = m.group(2).split()
-        if not members:
-            raise ParseError(f"class {cid} has no members")
-        for piece in members:
-            u = parse_tuple(piece)
-            r = rank.get(u)
-            if r is None:
-                raise ParseError(f"{piece} is not a level-{level} insertion tuple")
-            if r in labels:
-                raise ParseError(f"{piece} is classified twice")
-            labels[r] = cid
-    if len(labels) != len(rank):
-        raise ParseError(
-            f"{len(rank) - len(labels)} bracketings left unclassified at level {level}")
-    return Partition(level, p, [labels[r] for r in range(len(rank))])
+    pieces, tuples, cids, fault = [], [], [], None
+    try:
+        for expected_id, line in enumerate(lines[1:]):
+            m = _CLASS_RE.match(line.strip())
+            if not m:
+                raise ParseError(f"bad class line: {line!r}")
+            cid = int(m.group(1))
+            if cid != expected_id:
+                raise ParseError(f"class ids must count up from 0, got {cid}")
+            members = m.group(2).split()
+            if not members:
+                raise ParseError(f"class {cid} has no members")
+            for piece in members:
+                u = parse_tuple(piece)
+                try:
+                    if len(u) != level:
+                        raise ValueError
+                    _check_member(u, p, 1)
+                except ValueError:
+                    raise ParseError(f"{piece} is not a level-{level} insertion tuple") from None
+                pieces.append(piece)
+                tuples.append(u)
+                cids.append(cid)
+    except ParseError as exc:
+        fault = exc  # raised after any duplicate that comes before it
+    ranks = _rank(_tuple_words(tuples, level, p), level, p)
+    repeated = np.ones(len(ranks), bool)
+    repeated[np.unique(ranks, return_index=True)[1]] = False
+    if repeated.any():
+        raise ParseError(f"{pieces[repeated.argmax()]} is classified twice")
+    if fault is not None:
+        raise fault
+    if len(ranks) != count:
+        raise ParseError(f"{count - len(ranks)} bracketings left unclassified at level {level}")
+    labels = np.empty(count, np.intp)
+    labels[ranks] = cids
+    return Partition(level, p, labels.tolist())
 
 
 def format_spectrum_prefix(sigma: SpectrumPrefix) -> str:

@@ -10,19 +10,25 @@ canonical order: lexicographic on prefix words with ``w`` sorting before
 ``x``.  This coincides with lexicographic order on insertion tuples, since
 the first differing prefix symbol puts the next operation symbol after
 strictly fewer variables on the ``w`` side.  This module alone stores a
-level: ``_level`` keeps its interned trees in canonical order, and each
-tree's cached prefix word (``_word_of``) is its rank key.  ``_fold`` is the one
-prefix-word decoder; only a tree asked for its word, or parsed, caches it.
+level: ``_level`` keeps it as a read-only ``uint8`` array of prefix words,
+one row per rank, unranked with the ballot table ``_completions`` that also
+ranks words.  Trees are built only on request (:func:`enumerate_bracketings`,
+parsing).  ``_fold`` is the one prefix-word decoder; only a tree asked for
+its word, or parsed or enumerated, caches it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+
+import numpy as np
 
 from .errors import ParseError, check_int, require_cap, require_level_cap
 
 DEFAULT_MAX_BRACKETINGS = 10**6
+_W, _X = ord("w"), ord("x")  # the symbols' bytes in a word array
+# array cells that one row chunk of a word array holds
+_CHUNK_CELLS = 1 << 16
 
 
 class Bracketing:
@@ -130,35 +136,155 @@ def _fold(word: str, p: int, leaf, combine):
     return stack[0]
 
 
-def _compositions(total: int, parts: int):
-    """Tuples of ``parts`` nonnegative ints summing to ``total``, in lexicographic order."""
-    # stars and bars: parts - 1 bars among total + parts - 1 slots; bar
-    # positions in lexicographic order give the parts in lexicographic order
-    slots = total + parts - 1
-    for bars in combinations(range(slots), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
+@lru_cache(maxsize=None)
+def _completions(n: int, p: int) -> np.ndarray:
+    """Ballot table for ranking the words of levels up to n+1 and unranking level n+1.
+
+    Entry ``[r, m + 1]`` counts the words of length ``r`` with ``m``
+    operation symbols that complete a forest still needing ``d = r - p*m``
+    trees: ``|M(m, d, p)|`` (:func:`count_m`) when ``d >= 1`` (Knuth, TAOCP
+    7.2.1.6), else 0.  Column 0 (``m = -1``) and the last two columns are 0.
+    Rows reach the level-(n+1) length and columns leave room for the shifts
+    of ``spectra._images``: a shift of ``s`` rows keeps the column, and the
+    lift by one operation symbol moves ``p`` rows down and one column right.
+    Entries are clipped at ``C_{n+1}``: a state that a word of level n or
+    n+1 reaches has no more completions than that, so the clip only touches
+    cells that no rank reads.  The dtype is int32 when the level-(n+1) ranks
+    fit in it, int64 otherwise.
+    """
+    from .insertion import catalan, count_m  # insertion imports this module
+
+    size = catalan(n + 1, p)
+    rows = p * n + p + 1
+    table = np.zeros((rows, n + 4), np.int32 if size < 2**31 else np.int64)
+    table[1:, 1] = 1  # M(0, d, p) holds the empty tuple alone
+    for m in range(1, n + 1):
+        table[p * m + 1:, m + 1] = [min(count_m(m, r - p * m, p), size)
+                                    for r in range(p * m + 1, rows)]
+    return table
+
+
+def _word_index(words: np.ndarray, n: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The "is x" array of level-n words, and each cell's flat ballot-table index.
+
+    A variable at position ``i`` indexes ``[L - 1 - i, c]``, where ``c`` counts
+    the operation symbols after it: the number of words that share the prefix
+    before ``i`` and put an operation symbol there, so the word's rank is the
+    sum over its variables.  An operation symbol indexes ``[0, cols - 2]``,
+    which stays 0 under every shift and lift.
+    """
+    length = words.shape[1]
+    isx = words == _X
+    after = n - np.cumsum(~isx, axis=1)
+    index = np.where(isx, (length - 1 - np.arange(length)) * cols + after, cols - 2)
+    return isx, index
+
+
+def _rank(words: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Canonical rank of each row of a level-n word array."""
+    table = _completions(n - 1, p)
+    flat, cols = table.ravel(), table.shape[1]
+    ranks = np.zeros(len(words), np.int64)
+    for lo, rows in _row_chunks(words):
+        ranks[lo:lo + len(rows)] = np.take(flat, _word_index(rows, n, cols)[1]).sum(axis=1)
+    return ranks
+
+
+def _row_chunks(words: np.ndarray):
+    """``(first row, rows)`` slices of a word array, ``_CHUNK_CELLS`` cells or one row each."""
+    step = max(1, _CHUNK_CELLS // words.shape[1])
+    for lo in range(0, len(words), step):
+        yield lo, words[lo:lo + step]
+
+
+def _unrank(ranks: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The level-n words of ``ranks``, one ``uint8`` row each; inverse of :func:`_rank`.
+
+    All ranks are unranked at once, one step per operation symbol: with
+    ``c`` symbols left to place, the variables before the next one read
+    column ``c`` of the ballot table, so a rank skips the variables whose
+    entries it covers (a ``searchsorted`` on that column's running sums)
+    and subtracts those entries.
+    """
+    length = p * n + 1
+    words = np.full((len(ranks), length), _X, np.uint8)
+    table = _completions(n - 1, p)
+    rank = np.array(ranks, np.int64)
+    rest = np.full(len(ranks), length, np.int64)  # symbols still to place
+    cells = words.reshape(-1)
+    last = np.arange(len(ranks), dtype=np.int64) * length + length - 1
+    for c in range(n, 0, -1):
+        below = np.zeros(length + 1, np.int64)
+        np.cumsum(table[:length, c], out=below[1:])
+        # the next operation symbol leaves t symbols after it
+        t = np.searchsorted(below, below[rest] - rank) - 1
+        rank -= below[rest] - below[t + 1]
+        cells[last - t] = _W
+        rest = t
+    return words
 
 
 @lru_cache(maxsize=None)
-def _level(n: int, p: int) -> tuple[Bracketing, ...]:
-    # compose from lower levels, then sort by prefix word ('w' < 'x'), which
-    # is the canonical order: at the first differing symbol the 'w' side puts
-    # its next operation symbol after strictly fewer variables
-    if n == 0:
-        return (leaf(p),)
-    lower = [_level(m, p) for m in range(n)]
-    out = []
-    for split in _compositions(n - 1, p):
-        out.extend(map(_join, product(*map(lower.__getitem__, split))))
-    out.sort(key=_word_of)
-    return tuple(out)
+def _level(n: int, p: int) -> np.ndarray:
+    """The words of level ``n`` in canonical order, one read-only ``uint8`` row per rank."""
+    from .insertion import catalan  # insertion imports this module
+
+    words = _unrank(np.arange(catalan(n, p)), n, p)
+    words.setflags(write=False)
+    return words
+
+
+def _children(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and levels of the children of every level-n bracketing, two ``(N, p)`` arrays.
+
+    After position ``i`` a word still needs ``p * W[i] - i`` trees, ``W[i]``
+    counting its operation symbols up to ``i``; child ``c`` ends where that
+    need first falls to ``p - c``.  A child's rank is the sum of the table
+    entries of its variables, row and column taken relative to the child's
+    end: ``[end - i, W[end] - W[i]]``.
+    """
+    words = _level(n, p)
+    table = _completions(n - 1, p)
+    cols, flat = table.shape[1], table.ravel()
+    length = words.shape[1]
+    ranks = np.empty((len(words), p), np.intp)
+    levels = np.empty((len(words), p), np.intp)
+    pos = np.arange(length, dtype=np.int32)  # every table index fits: the table is allocated
+    for lo, chunk in _row_chunks(words):
+        # in-place steps keep a chunk's temporaries few (see the ring check's memory test)
+        isx = chunk == _X
+        ops = np.cumsum(~isx, axis=1, dtype=np.int32)
+        low = ops * p
+        low -= pos
+        np.minimum.accumulate(low, axis=1, out=low)
+        ends = np.nonzero(low[:, 1:] < low[:, :-1])[1].reshape(-1, p).astype(np.int32) + 1
+        ops_end = np.take_along_axis(ops, ends, axis=1)
+        child = np.subtract(p, low, out=low)[:, :-1]  # of each position from 1 on
+        index = np.take_along_axis(ends * cols + ops_end, child, axis=1)
+        ops += pos * cols
+        index -= ops[:, 1:]
+        index[~isx[:, 1:]] = cols - 2  # a zero cell
+        # a row's child ranks sum to less than the level size, so the table dtype holds them
+        sums = np.cumsum(flat[index], axis=1, dtype=table.dtype)
+        hi = lo + len(chunk)
+        ranks[lo:hi] = np.diff(np.take_along_axis(sums, ends - 1, axis=1), axis=1, prepend=0)
+        levels[lo:hi] = np.diff(ops_end, axis=1, prepend=1)
+    return ranks, levels
+
+
+def _texts(words: np.ndarray) -> list[str]:
+    """The rows of a word array as strings."""
+    text, length = words.tobytes().decode("ascii"), words.shape[1]
+    return [text[i:i + length] for i in range(0, len(text), length)]
 
 
 def _level_size(n: int, p: int, max_count: int | None) -> int:
     """Number of bracketings with occurrence number ``n``, refused above the cap.
 
-    A level is also refused when its child references (``p`` per bracketing)
-    exceed 64 times the cap, which never refuses a level of arity <= 64.
+    A level is also refused when its trees' child references (``p`` per
+    bracketing) exceed 64 times the cap, which never refuses a level of
+    arity <= 64 and refuses a wide level before its words or its ballot
+    table are allocated.
     """
     check_int(p, "arity", 2)
     if n < 0:
@@ -175,7 +301,17 @@ def _level_size(n: int, p: int, max_count: int | None) -> int:
 def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> list[Bracketing]:
     """All bracketings with occurrence number ``n``, once each, in canonical order."""
     _level_size(n, p, max_count)
-    return list(_level(n, p))
+    trees = [leaf(p)]  # levels 0..m, one after another
+    start = np.zeros(n + 1, np.intp)
+    for m in range(1, n + 1):
+        ranks, levels = _children(m, p)
+        start[m] = len(trees)
+        kids = [list(map(trees.__getitem__, c)) for c in (start[levels] + ranks).T.tolist()]
+        level = list(map(_join, zip(*kids)))
+        for t, word in zip(level, _texts(_level(m, p))):
+            t._word = word
+        trees += level
+    return trees[start[n]:]
 
 
 def parse_bracketing(text: str, p: int, format: str = "prefix") -> Bracketing:
@@ -223,21 +359,26 @@ def render_bracketing(t: Bracketing, format: str = "prefix") -> str:
     if format == "infix":
         if t.arity != 2:
             raise ValueError("infix notation is only defined for binary bracketings")
-        out = []
-        missing = []  # children still missing under each open node
-        for ch in _word_of(t):
-            if ch == "w":
-                out.append("(")
-                missing.append(2)
-                continue
-            out.append("x")
-            while missing and missing[-1] == 1:  # this variable completes the node
-                missing.pop()
-                out.append(")")
-            if missing:
-                missing[-1] -= 1
-        return "".join(out)
+        return _infix(_word_of(t))
     raise ValueError(f"unknown format {format!r}; expected 'prefix' or 'infix'")
+
+
+def _infix(word: str) -> str:
+    """Infix text of a binary prefix word."""
+    out = []
+    missing = []  # children still missing under each open node
+    for ch in word:
+        if ch == "w":
+            out.append("(")
+            missing.append(2)
+            continue
+        out.append("x")
+        while missing and missing[-1] == 1:  # this variable completes the node
+            missing.pop()
+            out.append(")")
+        if missing:
+            missing[-1] -= 1
+    return "".join(out)
 
 
 class LabeledBracketing:

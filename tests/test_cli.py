@@ -240,6 +240,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--file", str(path))
         assert code == 2 and out == "" and "1499 bracketings left unclassified" in err
 
+    def test_wide_arity_prefix_is_checked(self, capsys, tmp_path):
+        # the arity is under the cap's reach, so the prefix is checked, not refused
+        path = tmp_path / "sigma.txt"
+        path.write_text("level=0 p=100000 classes=1\nclass 0: ()\n\n"
+                        "level=1 p=100000 classes=1\nclass 0: (1)\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out, err) == (0, "CLOSED\n", "")
+
     @pytest.mark.parametrize("header", ["level=1 p=1000000000 classes=1\nclass 0: (1)\n",
                                         "level=2 p=100000 classes=1\nclass 0: (1,1)\n"])
     def test_wide_header_is_a_cap_error(self, capsys, tmp_path, header):

@@ -666,11 +666,14 @@ class TestRingClosedFormCheck:
     def test_shared_evaluation_matches_eval_term(self, level):
         ring = a.TruncatedRing(8)
         args = np.random.default_rng(level).integers(0, 6, size=(3, level + 1, 8))
-        got = list(groupoids._ring_level(args.astype(np.int8), level))
-        assert [t for t, _ in got] == a.enumerate_bracketings(level, 2)
-        for t, values in got:
+        got = {}
+        for ranks, values in groupoids._ring_level(args.astype(np.int8), level):
+            got.update(zip(ranks.tolist(), values))
+        trees = a.enumerate_bracketings(level, 2)
+        assert sorted(got) == list(range(len(trees)))
+        for r, t in enumerate(trees):
             for trial in range(3):
-                assert tuple(values[trial].tolist()) == ring.eval_term(t, args[trial].tolist())
+                assert tuple(got[r][trial].tolist()) == ring.eval_term(t, args[trial].tolist())
 
     def test_shared_store_stays_small(self):
         # every tree of levels 1..8 kept at all of its leaf offsets, one byte a residue

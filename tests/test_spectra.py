@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -9,7 +10,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import assocspectra as a
-from assocspectra import CapExceededError, ParseError, Partition, SpectrumPrefix, spectra
+from assocspectra import (
+    CapExceededError,
+    ParseError,
+    Partition,
+    SpectrumPrefix,
+    insertion,
+    spectra,
+    terms,
+)
+
+
+def words_of(trees):
+    """The word array of ``trees``, one row each."""
+    text = "".join(a.render_bracketing(t) for t in trees).encode("ascii")
+    return np.frombuffer(text, np.uint8).reshape(len(trees), -1)
 
 
 def delta_by_trees(pi):
@@ -112,10 +127,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition.full(2, 2).refines(Partition.full(3, 2))
 
-    def test_from_key(self):
-        pi = Partition.from_key(3, 2, lambda u: u[-1])
-        assert pi.num_classes == 3  # last entries 1, 2, 3
-
     @pytest.mark.parametrize("cap", [-1, 1.5])
     def test_cap_must_be_a_nonnegative_int(self, cap):
         with pytest.raises(ValueError, match="cap"):
@@ -210,10 +221,11 @@ class TestDelta:
 
     @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 4), (5, 4)])
     def test_arithmetic_rank_is_the_canonical_index(self, p, top):
+        # the level-n words ranked with the table that pushes level n up
         for n in range(top + 1):
-            table = spectra._completions(n, p)
-            words = [a.render_bracketing(t) for t in a.enumerate_bracketings(n, p)]
-            _, index = spectra._word_index(words, p, table.shape[1])
+            table = terms._completions(n, p)
+            words = words_of(a.enumerate_bracketings(n, p))
+            _, index = terms._word_index(words, n, table.shape[1])
             ranks = np.take(table.ravel(), index).sum(axis=1)
             assert ranks.tolist() == list(range(len(words)))
 
@@ -225,27 +237,36 @@ class TestDelta:
         want = [[rank["w" + xs[:i] + w + xs[i:]] for i in range(p)]
                 + [rank[w[:j] + "w" + xs + w[j:]] for j, ch in enumerate(w) if ch == "x"]
                 for w in words]
-        assert spectra._images(words, 0, n, p).tolist() == want
+        assert spectra._images(words_of(a.enumerate_bracketings(n, p)), 0, n, p).tolist() == want
 
     @pytest.mark.parametrize("p,n", [(2, 11), (3, 6), (4, 4), (6, 3)])
     def test_completion_table_matches_count_m(self, p, n):
-        # brute oracle for the count_m entries: a {w, x} word completes a forest
-        # needing d trees when its need, starting at d, first reaches 0 at its end
-        table = spectra._completions(n, p)
+        # brute oracle for the count_m entries: a {w, x} word with m operation
+        # symbols completes a forest needing d >= 1 trees when its need,
+        # starting at d, first reaches 0 at its end; it sits in column m + 1
+        table = terms._completions(n, p)
         size = a.catalan(n + 1, p)
         assert table.dtype == np.int32
         rows, cols = table.shape
+        assert (rows, cols) == (p * n + p + 1, n + 4)
         for r in range(min(rows, 13)):
             want = [0] * cols
             for word in itertools.product((p - 1, -1), repeat=r):
                 sums = list(itertools.accumulate(word, initial=0))
-                if -sums[-1] < cols and min(sums[:-1], default=1) > sums[-1]:
-                    want[-sums[-1]] += 1
+                m = word.count(p - 1)
+                if r and m + 1 < cols and min(sums[:-1], default=1) > sums[-1]:
+                    want[m + 1] += 1
             assert table[r].tolist() == [min(w, size) for w in want], r
+            assert table[r, [0, -2, -1]].tolist() == [0, 0, 0]
+        for r in range(rows):
+            for m in range(n + 1):
+                d = r - p * m
+                want = a.count_m(m, d, p) if d >= 1 else 0
+                assert table[r, m + 1] == min(want, size), (r, m)
 
     def test_rank_dtype_widens_past_int32(self):
         # level 20 of arity 2 has 6.6e9 bracketings; its ballot table is small
-        table = spectra._completions(19, 2)
+        table = terms._completions(19, 2)
         assert table.dtype == np.int64
         assert table.max() == a.catalan(20, 2)
 
@@ -261,6 +282,12 @@ class TestDelta:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 2**20
+
+    def test_wide_arity_pushes_up(self):
+        # a ballot table indexed by pending trees held (p + 1) * (2p + 1) cells here
+        start = time.perf_counter()
+        assert a.delta(Partition.full(0, 10**5)) == Partition.full(1, 10**5)
+        assert time.perf_counter() - start < 1
 
     def test_total_output(self):
         for n in range(5):
@@ -545,6 +572,41 @@ class TestDldrSigma:
         assert a.verify_closed(a.build_prefix(a.dldr_sigma, 6)).closed
 
 
+class TestArrayStatistics:
+    """Each named statistic of the word array against the public tree function it replaces."""
+
+    @pytest.mark.parametrize("min_eggs", [1, 2, 3])
+    def test_tau_counts_egg_pairs(self, min_eggs):
+        for n in range(9):
+            trees = a.enumerate_bracketings(n, 2)
+            want = [-1 if a.egg_pairs(t) >= min_eggs else r for r, t in enumerate(trees)]
+            assert a.tau(n, min_eggs=min_eggs) == Partition(n, 2, want)
+
+    def test_dldr_reads_the_tree_depths(self):
+        for n in range(9):
+            trees = a.enumerate_bracketings(n, 2)
+            assert a.dldr_sigma(n) == Partition(n, 2, map(a.left_right_depth, trees))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_left_factors_read_the_left_lengths(self, k):
+        for n in range(9):
+            trees = a.enumerate_bracketings(n, 2)
+            want = [a.left_lengths(t, min(k, n + 1)) for t in trees]
+            assert a.left_factor_sigma(n, k) == Partition(n, 2, want)
+
+    @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 5)])
+    def test_tuple_columns_are_the_insertion_tuples(self, p, top):
+        for n in range(top + 1):
+            trees = a.enumerate_bracketings(n, p)
+            tuples = [a.to_tuple(t) for t in trees]
+            columns = insertion._tuple_columns(terms._level(n, p), n)
+            assert list(map(tuple, columns.tolist())) == tuples
+            assert np.array_equal(insertion._tuple_words(tuples, n, p), terms._level(n, p))
+            for k in (1, 2):
+                want = Partition(n, p, [u[max(n - k, 0):] for u in tuples])
+                assert a.tail_tuple_sigma(n, k, p) == want
+
+
 class TestCoatomCensus:
     @pytest.mark.parametrize("p,want", [(2, 1), (3, 3), (4, 7)])
     def test_counts(self, p, want):
@@ -608,6 +670,25 @@ class TestTextFormats:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             a.parse_partition(bad)
+
+    @pytest.mark.parametrize("members, message", [
+        ("(1,1) (1,1)\nclass 1: (9,9)", "(1,1) is classified twice"),
+        ("(9,9) (1,1)\nclass 1: (1,1)", "(9,9) is not a level-2 insertion tuple"),
+        ("(1) (1,1)\nclass 1: (1,1)", "(1) is not a level-2 insertion tuple"),
+        ("(1,2) (1,x)\nclass 1: (1,2)", "tuple entries must be integers"),
+        ("(1,2)\nclass 1: (1,2)", "(1,2) is classified twice"),
+        ("(1,2)\nclass 2: (1,1)", "class ids must count up from 0, got 2"),
+    ])
+    def test_the_first_fault_in_reading_order_is_reported(self, members, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            a.parse_partition(f"level=2 p=2 classes=2\nclass 0: {members}")
+
+    def test_parsing_ranks_members_without_building_the_level(self):
+        pi = a.left_factor_sigma(9, 2)
+        text = a.format_partition(pi)
+        terms._level.cache_clear()
+        assert a.parse_partition(text) == pi
+        assert terms._level.cache_info().currsize == 0
 
     @pytest.mark.parametrize("level", [40, 200000])
     def test_huge_header_refused_before_the_level_is_built(self, level):

@@ -1,13 +1,15 @@
+import functools
 import itertools
 import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import assocspectra as a
-from assocspectra import CapExceededError, ParseError
+from assocspectra import CapExceededError, ParseError, terms
 
 # first four binary levels, in canonical order
 TABLE1_PREFIX = {
@@ -135,6 +137,60 @@ class TestEnumerate:
         # one child position per recursion level would overflow the stack here
         (t,) = a.enumerate_bracketings(1, 2000)
         assert t.length == 2000 and all(c.is_leaf for c in t.children)
+
+
+@functools.lru_cache(maxsize=None)
+def composed_level(n, p):
+    """Slow level oracle: trees composed from the lower levels, then sorted by prefix word."""
+    if n == 0:
+        return [a.leaf(p)]
+    lower = [composed_level(m, p) for m in range(n)]
+    trees = [a.node(*kids) for split in compositions(n - 1, p)
+             for kids in itertools.product(*map(lower.__getitem__, split))]
+    return sorted(trees, key=a.render_bracketing)
+
+
+class TestWordArray:
+    @pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (4, 5), (5, 4)])
+    def test_unranked_level_is_the_composed_level(self, p, top):
+        for n in range(top + 1):
+            words = terms._level(n, p)
+            assert words.dtype == np.uint8 and not words.flags.writeable
+            assert terms._texts(words) == [a.render_bracketing(t) for t in composed_level(n, p)]
+
+    @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 5), (5, 4)])
+    def test_child_ranks_name_the_composed_children(self, p, top):
+        for n in range(1, top + 1):
+            ranks, levels = terms._children(n, p)
+            want = [[(c.occ, composed_level(c.occ, p).index(c)) for c in t.children]
+                    for t in composed_level(n, p)]
+            assert np.stack([levels, ranks], axis=2).tolist() == [
+                [list(pair) for pair in kids] for kids in want]
+
+    @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 4)])
+    def test_enumerated_trees_are_the_interned_composed_trees(self, p, top):
+        for n in range(top + 1):
+            trees = a.enumerate_bracketings(n, p)
+            assert all(t is s for t, s in zip(trees, composed_level(n, p), strict=True))
+
+    @given(st.data())
+    def test_unrank_then_rank_is_the_identity(self, data):
+        p = data.draw(st.integers(2, 6))
+        n = data.draw(st.integers(0, 40))
+        size = a.catalan(n, p)
+        assume(a.catalan(n + 1, p) < 2**62)  # the table's int64 entries hold the clip
+        ranks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=20))
+        words = terms._unrank(np.array(ranks), n, p)
+        assert terms._rank(words, n, p).tolist() == ranks
+        # every row is a word of the level: n operation symbols, one tree
+        for word in terms._texts(words):
+            assert a.parse_bracketing(word, p).occ == n
+
+    def test_level_arrays_are_cached_and_small(self):
+        # level 12 as trees kept about 80 MiB; as words it is one byte a symbol
+        words = terms._level(12, 2)
+        assert terms._level(12, 2) is words
+        assert words.nbytes == 208012 * 25
 
 
 class TestParseRender:
