@@ -11,6 +11,8 @@ import json
 import sys
 from decimal import Decimal
 
+import numpy as np
+
 from .errors import CapExceededError, UnsupportedOperationError
 from .groupoids import (
     GALLERY_ENTRIES,
@@ -20,7 +22,7 @@ from .groupoids import (
     gallery,
     load_groupoid,
 )
-from .insertion import _tuple_columns, catalan, count_m, format_tuple, from_tuple
+from .insertion import _tuple_columns, _tuple_lines, catalan, count_m, from_tuple
 from .spectra import (
     SpectrumPrefix,
     _bit_sequence,
@@ -34,22 +36,31 @@ from .spectra import (
     tau,
     verify_closed,
 )
-from .terms import _infix, _level, _level_size, _row_chunks, _texts, render_bracketing
+from .terms import _infix_rows, _level, _level_size, _row_chunks, render_bracketing
 
 
 def cmd_enum(args) -> int:
     if args.format == "infix" and args.p != 2:
         raise ValueError("infix output needs --p 2")
     _level_size(args.n, args.p, args.max_bracketings)
-    for _, words in _row_chunks(_level(args.n, args.p)):
-        if args.format == "tuple":
-            lines = map(format_tuple, _tuple_columns(words, args.n).tolist())
-        elif args.format == "infix":
-            lines = map(_infix, _texts(words))
-        else:
-            lines = _texts(words)
-        sys.stdout.write("".join(line + "\n" for line in lines))
+    if args.format == "infix":
+        chunks = (_lines(rows) for _, rows in _infix_rows(args.n))
+    elif args.format == "tuple":
+        chunks = (_tuple_lines(_tuple_columns(words, args.n))
+                  for _, words in _row_chunks(_level(args.n, args.p)))
+    else:
+        chunks = (_lines(words) for _, words in _row_chunks(_level(args.n, args.p)))
+    for chunk in chunks:
+        sys.stdout.write(chunk.tobytes().decode("ascii"))
     return 0
+
+
+def _lines(rows: np.ndarray) -> np.ndarray:
+    """The rows of a ``uint8`` text array, each ended by a newline."""
+    out = np.empty((len(rows), rows.shape[1] + 1), np.uint8)
+    out[:, :-1] = rows
+    out[:, -1] = ord("\n")
+    return out
 
 
 def cmd_count(args) -> int:

@@ -6,6 +6,8 @@ a bijection between the level of occurrence number ``n`` and the weakly
 increasing n-tuples with ``u_i <= (p - 1)*(i - 1) + 1``; it is computed from
 and to prefix words, one at a time or as rows of a word array, and the
 levels themselves are stored and ranked by :mod:`assocspectra.terms` alone.
+A level's tuples are written as text a row chunk at a time
+(:func:`_tuple_lines`: one ``uint8`` buffer of ``(u1,...,un)`` lines).
 Relaxing the bound offset from 1 to ``k`` yields the counted family
 ``M(n, k, p)``; all counts are exact unbounded integers.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from math import comb
+from operator import le, sub
 from typing import Iterator
 
 import numpy as np
@@ -45,6 +48,35 @@ def _tuple_columns(words: np.ndarray, n: int) -> np.ndarray:
     return where - np.arange(n) + 1
 
 
+def _tuple_lines(columns: np.ndarray) -> np.ndarray:
+    """The lines ``(u1,...,un)\\n`` of the rows of an ``(N, n)`` array of positive ints.
+
+    One ``uint8`` buffer, byte-identical to :func:`format_tuple` per row plus
+    a newline: every entry takes its decimal digits and one separator (``,``
+    or the closing ``)``), so a row's bytes start at the running sum of the
+    widths before it, and level 0 gives ``()``.
+    """
+    rows, n = columns.shape
+    digits = np.ones(columns.shape, np.intp)
+    top = int(columns.max(initial=0))
+    for power in (10 ** e for e in range(1, len(str(top)))):
+        digits += columns >= power
+    # an entry starts after "(" and the entries before it in its row
+    starts = np.cumsum(digits + 1, axis=1) - digits
+    width = (starts[:, -1] + digits[:, -1] + 2) if n else np.full(rows, 3)
+    first = np.cumsum(width) - width
+    out = np.full(int(width.sum()), ord(","), np.uint8)
+    out[first] = ord("(")
+    out[first + width - 2] = ord(")")
+    out[first + width - 1] = ord("\n")
+    ends = (starts + digits - 1 + first[:, None]).ravel()  # each entry's last digit
+    value, digits = columns.ravel(), digits.ravel()
+    for place in range(len(str(top))):
+        more = digits > place
+        out[ends[more] - place] = value[more] // 10 ** place % 10 + ord("0")
+    return out
+
+
 def _tuple_words(tuples, n: int, p: int) -> np.ndarray:
     """Word array of level-n insertion tuples; inverse of :func:`_tuple_columns`."""
     words = np.full((len(tuples), p * n + 1), _X, np.uint8)
@@ -54,6 +86,10 @@ def _tuple_words(tuples, n: int, p: int) -> np.ndarray:
 
 
 def _check_member(u: tuple[int, ...], p: int, k: int) -> None:
+    # the common case in C-level passes; the loop names the first fault of any other
+    if (p >= 2 and set(map(type, u)) <= {int} and all(map(le, u, u[1:]))
+            and all(map(le, u, range(k, (p - 1) * len(u) + k, p - 1))) and (not u or u[0] >= 1)):
+        return
     for i, v in enumerate(u, start=1):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"tuple entries must be integers, got {v!r}")
@@ -75,7 +111,7 @@ def from_tuple(u, p: int) -> Bracketing:
     _check_member(u, p, 1)
     # the runs of variables between operation symbols, as to_tuple splits them
     bounds = (1, *u, (p - 1) * len(u) + 2)
-    return _parse_prefix("w".join("x" * (b - a) for a, b in zip(bounds, bounds[1:])), p)
+    return _parse_prefix("w".join(map("x".__mul__, map(sub, bounds[1:], bounds))), p)
 
 
 def beta_update(u, i: int, p: int) -> tuple[int, ...]:

@@ -13,12 +13,19 @@ in the level above by summing entries of the ballot table (so that level is
 never built) and unions classes by min-label propagation over the pairs of
 images that each class's first member anchors; a named spectrum is a
 statistic of the rows, grouped by :func:`_group_rows`.
+
+Partition blocks are written and read as row chunks as well:
+:func:`format_partition` writes the level's tuple lines class by class
+in one buffer, and :func:`parse_partition` reads each class line's members
+as one array of entries and checks them all at once, going piece by piece
+only to name a fault or to read a piece of another form.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,9 +34,9 @@ from .errors import ParseError, _show
 from .insertion import (
     _check_member,
     _tuple_columns,
+    _tuple_lines,
     _tuple_words,
     catalan,
-    format_tuple,
     parse_tuple,
 )
 from .terms import (
@@ -145,15 +152,17 @@ def _level_rows(n: int, p: int, stat: Callable, max_count: int | None) -> np.nda
 
 
 def _refinement_witness(finer: Partition, coarser: Partition) -> tuple[int, int] | None:
-    """First pair of ranks merged by ``finer`` but separated by ``coarser``."""
-    seen: dict[int, tuple[int, int]] = {}
-    for r, (cf, cc) in enumerate(zip(finer.class_of, coarser.class_of)):
-        first = seen.get(cf)
-        if first is None:
-            seen[cf] = (r, cc)
-        elif first[1] != cc:
-            return first[0], r
-    return None
+    """First pair of ranks merged by ``finer`` but separated by ``coarser``.
+
+    The pair is the first rank whose ``coarser`` class differs from that of
+    the first rank of its ``finer`` class, and that first rank.
+    """
+    fine = np.array(finer.class_of, np.intp)
+    coarse = np.array(coarser.class_of, np.intp)
+    first, inverse = np.unique(fine, return_index=True, return_inverse=True)[1:]
+    anchor = first[inverse.reshape(-1)]
+    split = np.flatnonzero(coarse != coarse[anchor])
+    return (int(anchor[split[0]]), int(split[0])) if len(split) else None
 
 
 class SpectrumPrefix:
@@ -514,14 +523,22 @@ _CLASS_RE = re.compile(r"class (\d+):\s*(.*)$")
 
 
 def format_partition(pi: Partition) -> str:
-    """Render a partition block: a header line, then one line per class."""
-    texts = []
-    for _, rows in _row_chunks(_level(pi.level, pi.arity)):
-        texts += map(format_tuple, _tuple_columns(rows, pi.level).tolist())
-    lines = [f"level={pi.level} p={pi.arity} classes={pi.num_classes}"]
-    for cid, ranks in enumerate(pi.classes()):
-        lines.append(f"class {cid}: " + " ".join(texts[r] for r in ranks))
-    return "\n".join(lines)
+    """Render a partition block: a header line, then one line per class.
+
+    The level's rows are taken class by class (ranks ascending within a
+    class) in row chunks and written as tuple lines (``_tuple_lines``);
+    the newline of every member but a class's last becomes a space.
+    """
+    words = _level(pi.level, pi.arity)
+    class_of = np.array(pi.class_of, np.intp)
+    order = np.argsort(class_of, kind="stable")
+    text = np.concatenate([_tuple_lines(_tuple_columns(words[order[lo:lo + len(rows)]], pi.level))
+                           for lo, rows in _row_chunks(words)])
+    ends = np.flatnonzero(text == ord("\n"))
+    text[ends[:-1][np.diff(class_of[order]) == 0]] = ord(" ")
+    members = text.tobytes().decode("ascii").split("\n")
+    return "\n".join([f"level={pi.level} p={pi.arity} classes={pi.num_classes}",
+                      *(f"class {cid}: {line}" for cid, line in enumerate(members[:-1]))])
 
 
 def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
@@ -529,8 +546,12 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
 
     The level named in the header is checked against ``max_count`` (the
     default cap when ``None``) first; the level itself is never built, since
-    each member's word is ranked with the ballot table.  Of several faults,
-    the first in reading order is reported.
+    each member's word is ranked with the ballot table.  A class line whose
+    members all have the form of level-n tuples is read as one array
+    (:func:`_line_tuples`), and entries, order and bounds are checked over
+    all members at once.  Of several faults, the first in reading order is
+    reported, with the message :func:`_parse_member` gives that piece; a
+    member classified twice before it is reported instead.
     """
     lines = text.strip().splitlines()
     if not lines:
@@ -544,43 +565,90 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
     count = _level_size(level, p, max_count)
     if len(lines) - 1 != n_classes:
         raise ParseError(f"header announces {n_classes} classes, found {len(lines) - 1} lines")
-    pieces, tuples, cids, fault = [], [], [], None
-    try:
-        for expected_id, line in enumerate(lines[1:]):
-            m = _CLASS_RE.match(line.strip())
-            if not m:
-                raise ParseError(f"bad class line: {line!r}")
-            cid = int(m.group(1))
-            if cid != expected_id:
-                raise ParseError(f"class ids must count up from 0, got {cid}")
-            members = m.group(2).split()
-            if not members:
-                raise ParseError(f"class {cid} has no members")
-            for piece in members:
-                u = parse_tuple(piece)
-                try:
-                    if len(u) != level:
-                        raise ValueError
-                    _check_member(u, p, 1)
-                except ValueError:
-                    raise ParseError(f"{piece} is not a level-{level} insertion tuple") from None
-                pieces.append(piece)
-                tuples.append(u)
-                cids.append(cid)
-    except ParseError as exc:
-        fault = exc  # raised after any duplicate that comes before it
-    ranks = _rank(_tuple_words(tuples, level, p), level, p)
+    pieces, blocks, cids, fault = [], [], [], None
+    for expected_id, line in enumerate(lines[1:]):
+        m = _CLASS_RE.match(line.strip())
+        if not m:
+            fault = ParseError(f"bad class line: {line!r}")
+        elif int(m.group(1)) != expected_id:
+            fault = ParseError(f"class ids must count up from 0, got {int(m.group(1))}")
+        elif not m.group(2):
+            fault = ParseError(f"class {expected_id} has no members")
+        else:
+            these = m.group(2).split()
+            rows, fault = _line_tuples(m.group(2), these, level, p)
+            pieces += these[:len(rows)]
+            blocks.append(rows)
+            cids.append(np.full(len(rows), expected_id))
+        if fault is not None:
+            break  # raised after any duplicate or array fault that comes before it
+    tuples = np.concatenate(blocks) if blocks else np.zeros((0, level), np.int64)
+    bad = (tuples < 1) | (tuples > (p - 1) * np.arange(level) + 1)
+    bad[:, 1:] |= tuples[:, 1:] < tuples[:, :-1]
+    first_bad = int(bad.any(axis=1).argmax()) if bad.any() else len(tuples)
+    ranks = _rank(_tuple_words(tuples[:first_bad], level, p), level, p)
     repeated = np.ones(len(ranks), bool)
     repeated[np.unique(ranks, return_index=True)[1]] = False
     if repeated.any():
         raise ParseError(f"{pieces[repeated.argmax()]} is classified twice")
+    if first_bad < len(tuples):
+        _parse_member(pieces[first_bad], level, p)  # raises the piece's own message
+        raise AssertionError(f"the array check refused {pieces[first_bad]} alone")
     if fault is not None:
         raise fault
     if len(ranks) != count:
         raise ParseError(f"{count - len(ranks)} bracketings left unclassified at level {level}")
     labels = np.empty(count, np.intp)
-    labels[ranks] = cids
-    return Partition(level, p, labels.tolist())
+    labels[ranks] = np.concatenate(cids)
+    return Partition._from_ids(level, p, _group_rows(labels[:, None])[1])
+
+
+def _parse_member(piece: str, level: int, p: int) -> tuple[int, ...]:
+    """One member of a class line as a level-``level`` insertion tuple, or a ``ParseError``."""
+    u = parse_tuple(piece)
+    try:
+        if len(u) != level:
+            raise ValueError
+        _check_member(u, p, 1)
+    except ValueError:
+        raise ParseError(f"{piece} is not a level-{level} insertion tuple") from None
+    return u
+
+
+@lru_cache(maxsize=None)
+def _members_re(level: int) -> re.Pattern:
+    """Members text of level-``level`` tuples of at most 18 ASCII digits per entry."""
+    one = r"\(\)" if level == 0 else r"\((?:[0-9]{1,18},){%d}[0-9]{1,18}\)" % (level - 1)
+    return re.compile(rf"{one}(?:\s+{one})*")
+
+
+def _line_tuples(members: str, pieces: list[str], level: int,
+                 p: int) -> tuple[np.ndarray, ParseError | None]:
+    """The tuples of one class line's members (split into ``pieces``) and the fault that stops them.
+
+    Members of the form :func:`_members_re` are read in one pass over their
+    bytes: every entry is a run of digits, its value the sum of each digit
+    times ten to the power of the digits after it, so only the checks of
+    order and bounds remain.  Any other line goes piece by piece through
+    :func:`_parse_member`, which accepts whatever ``int`` does (``+1``,
+    ``1_0``) and stops at the first faulty piece.
+    """
+    if _members_re(level).fullmatch(members):
+        text = np.frombuffer(members.encode(), np.uint8)
+        digit = np.flatnonzero((text >= ord("0")) & (text <= ord("9")))
+        # the separator after every digit; each entry is the digits before one separator
+        after = np.flatnonzero((text < ord("0")) | (text > ord("9")))
+        after = after[np.searchsorted(after, digit)]
+        value = (text[digit] - ord("0")).astype(np.int64) * 10 ** (after - digit - 1)
+        entries = np.add.reduceat(value, np.flatnonzero(np.diff(after, prepend=-1)))
+        return entries.reshape(len(pieces), level), None
+    rows = []
+    for piece in pieces:
+        try:
+            rows.append(_parse_member(piece, level, p))
+        except ParseError as exc:
+            return np.array(rows, np.int64).reshape(len(rows), level), exc
+    return np.array(rows, np.int64).reshape(len(rows), level), None
 
 
 def format_spectrum_prefix(sigma: SpectrumPrefix) -> str:

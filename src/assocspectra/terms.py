@@ -14,7 +14,11 @@ level: ``_level`` keeps it as a read-only ``uint8`` array of prefix words,
 one row per rank, unranked with the ballot table ``_completions`` that also
 ranks words.  Trees are built only on request (:func:`enumerate_bracketings`,
 parsing).  ``_fold`` is the one prefix-word decoder; only a tree asked for
-its word, or parsed or enumerated, caches it.
+its word, or parsed or enumerated, caches it.  Text leaves a level as row
+chunks: the prefix rows are the word array itself, and the binary infix
+rows (3n+1 bytes each) are copied together from the lower levels' infix
+rows along the canonical order (:func:`_infix_rows`); :func:`_infix`
+renders a single word.
 """
 
 from __future__ import annotations
@@ -76,7 +80,16 @@ def leaf(p: int) -> Bracketing:
     return Bracketing(p, ())
 
 
-_node_cache: dict[tuple[Bracketing, ...], Bracketing] = {}
+class _NodeCache(dict):
+    """Children tuple -> the one node over them; a missing node is made on lookup."""
+
+    def __missing__(self, children: tuple[Bracketing, ...]) -> Bracketing:
+        node = self[children] = Bracketing(len(children), children)
+        return node
+
+
+# ``_node_cache[children]`` joins unchecked: they must be ``p`` trees of arity ``p``
+_node_cache = _NodeCache()
 
 
 def node(*children: Bracketing) -> Bracketing:
@@ -89,13 +102,7 @@ def node(*children: Bracketing) -> Bracketing:
             raise TypeError(f"children must be bracketings, got {type(c).__name__}")
         if c.arity != p:
             raise ValueError(f"child of arity {c.arity} cannot sit under a {p}-ary node")
-    return _node_cache.get(children) or _join(children)
-
-
-def _join(children: tuple[Bracketing, ...]) -> Bracketing:
-    """The interned node over ``children``, unchecked: they must be ``p`` trees of arity ``p``."""
-    # one lookup, which suits a caller that mostly builds new nodes
-    return _node_cache.setdefault(children, Bracketing(len(children), children))
+    return _node_cache[children]
 
 
 def _word_of(t: Bracketing) -> str:
@@ -111,26 +118,29 @@ def _word_of(t: Bracketing) -> str:
     return t._word
 
 
-def _fold(word: str, p: int, leaf, combine):
+def _fold(word: str, p: int, leaves, combine):
     """Evaluate a prefix word of arity ``p`` bottom-up: the one decoder of prefix words.
 
-    ``leaf(i)`` gives the value of the i-th variable (from 0, left to right)
-    and ``combine(v_1, ..., v_p)`` that of an operation symbol (any non-``x``)
-    over its operands'.  The word is scanned right to left, so the stack top
-    holds the leftmost pending value.  A word of no single bracketing raises.
+    ``leaves[i]`` is the value of the i-th variable (from 0, left to right)
+    and ``combine((v_1, ..., v_p))`` that of an operation symbol (any
+    non-``x``) over its operands', passed as one tuple, so that interning
+    is a single dict lookup.  The word is scanned right to left, so the
+    stack top holds the leftmost pending value.  A word of no single
+    bracketing raises.
     """
     stack = []
+    push = stack.append
     i = word.count("x")
     for ch in reversed(word):
         if ch == "x":
             i -= 1
-            stack.append(leaf(i))
+            push(leaves[i])
         elif len(stack) < p:
             raise ParseError(f"an operation symbol has fewer than {p} operands: {word!r}")
         else:
-            kids = stack[:-p - 1:-1]
+            kids = tuple(stack[:-p - 1:-1])
             del stack[-p:]
-            stack.append(combine(*kids))
+            push(combine(kids))
     if len(stack) != 1:
         raise ParseError(f"expected one bracketing, found {len(stack)}: {word!r}")
     return stack[0]
@@ -272,6 +282,70 @@ def _children(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return ranks, levels
 
 
+def _first_child_levels(n: int) -> np.ndarray:
+    """Levels of the first children of binary level ``n``, one per run of rows sharing it.
+
+    Level n lists the nodes ``(L, R)`` by ``L`` first, over the trees below
+    level n in canonical order, and for each ``L`` by ``R`` over level
+    ``n - 1 - |L|`` in rank order: prefix words are prefix-free, so the word
+    ``w L R`` compares as ``L`` first.  For the same reason the trees below
+    level k, in canonical order, are the nodes ``(L, R)`` with ``L`` below
+    level k-1 and ``R`` below level ``k - 1 - |L|``, then the variable.
+    """
+    below = [np.zeros(0, np.intp), np.zeros(1, np.intp)]  # levels of the trees below level k
+    for k in range(2, n + 1):
+        left = below[k - 1]
+        counts = np.array([len(b) for b in below])
+        rights = counts[k - 1 - left]  # right children of each left child
+        first = np.cumsum(counts) - counts  # where each below[j] starts in the concatenation
+        index = np.repeat(first[k - 1 - left] - np.cumsum(rights) + rights, rights)
+        index += np.arange(len(index))
+        below.append(np.append(np.concatenate(below)[index] + np.repeat(left + 1, rights), 0))
+    return below[n]
+
+
+def _infix_chunks(n: int, texts: list[np.ndarray]):
+    """``(first rank, rows)`` chunks of the infix rows of binary level ``n >= 1``.
+
+    ``texts[m]`` holds the rows of every level m below n.  A row is
+    ``"(" + infix(L) + infix(R) + ")"``, 3n+1 bytes, with ``L`` and ``R``
+    found through :func:`_first_child_levels`: the left children of one
+    level appear in rank order among the runs, so a left child's rank counts
+    the runs of its level before it, and ``R`` runs through its level.
+    """
+    left = _first_child_levels(n)
+    rank = np.empty_like(left)
+    for m in range(n):
+        rank[left == m] = np.arange(len(texts[m]))
+    runs = np.array([len(t) for t in texts])[n - 1 - left]
+    starts = np.cumsum(runs) - runs
+    width, size = 3 * n + 1, int(runs.sum())
+    step = max(1, _CHUNK_CELLS // width)
+    for lo in range(0, size, step):
+        ranks = np.arange(lo, min(lo + step, size))
+        run = np.searchsorted(starts, ranks, "right") - 1
+        sizes, lefts, rights = left[run], rank[run], ranks - starts[run]
+        rows = np.empty((len(ranks), width), np.uint8)
+        rows[:, 0], rows[:, -1] = ord("("), ord(")")
+        for m in np.unique(sizes).tolist():
+            of = sizes == m
+            rows[of, 1:3 * m + 2] = texts[m][lefts[of]]
+            rows[of, 3 * m + 2:-1] = texts[n - 1 - m][rights[of]]
+        yield lo, rows
+
+
+def _infix_rows(n: int):
+    """Infix texts of binary level ``n``: ``(first rank, rows)`` chunks of ``uint8`` rows.
+
+    Built from the rows of the lower levels alone (:func:`_infix_chunks`);
+    no word array is read.  Byte-identical to :func:`_infix` per word.
+    """
+    texts = [np.full((1, 1), _X, np.uint8)]
+    for m in range(1, n):
+        texts.append(np.concatenate([rows for _, rows in _infix_chunks(m, texts)]))
+    return _infix_chunks(n, texts) if n else iter([(0, texts[0])])
+
+
 def _texts(words: np.ndarray) -> list[str]:
     """The rows of a word array as strings."""
     text, length = words.tobytes().decode("ascii"), words.shape[1]
@@ -307,7 +381,7 @@ def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> li
         ranks, levels = _children(m, p)
         start[m] = len(trees)
         kids = [list(map(trees.__getitem__, c)) for c in (start[levels] + ranks).T.tolist()]
-        level = list(map(_join, zip(*kids)))
+        level = list(map(_node_cache.__getitem__, zip(*kids)))
         for t, word in zip(level, _texts(_level(m, p))):
             t._word = word
         trees += level
@@ -334,8 +408,7 @@ def _parse_prefix(text: str, p: int) -> Bracketing:
     rest = text.lstrip("wx")
     if rest:
         raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
-    x = leaf(p)
-    t = _fold(text, p, lambda i: x, lambda *kids: _node_cache.get(kids) or _join(kids))
+    t = _fold(text, p, (leaf(p),) * len(text), _node_cache.__getitem__)
     t._word = text
     return t
 

@@ -460,15 +460,17 @@ class TestIsAssociative:
             if a.eval_term(g, grouped_left, args) != a.eval_term(g, grouped_right, args)]
         assert witnesses
 
-    def test_spectrum_of_random_associative_tables(self):
-        rng = random.Random(11)
-        found = 0
-        while found < 3:
-            table = [rng.randrange(2) for _ in range(4)]
-            g = Groupoid(2, 2, table)
-            if a.is_associative(g):
-                found += 1
-                assert a.assoc_spectrum(g, 5) == [1] * 6
+    def test_spectrum_of_every_associative_table_on_two_elements(self):
+        associative = 0
+        for table in itertools.product(range(2), repeat=4):
+            g = Groupoid(2, 2, list(table))
+            brute = all(g.apply(x, g.apply(y, z)) == g.apply(g.apply(x, y), z)
+                        for x, y, z in itertools.product(range(2), repeat=3))
+            assert a.is_associative(g) == brute, table
+            if brute:
+                associative += 1
+                assert a.assoc_spectrum(g, 5) == [1] * 6, table
+        assert associative == 8
 
 
 class TestDirectProduct:

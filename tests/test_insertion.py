@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import assocspectra as a
-from assocspectra import CapExceededError, ParseError
+from assocspectra import CapExceededError, ParseError, insertion, terms
 
 TABLE1_TUPLES = {
     0: [()],
@@ -209,3 +210,18 @@ class TestSerialization:
     def test_errors(self, bad):
         with pytest.raises(ParseError):
             a.parse_tuple(bad)
+
+    @pytest.mark.parametrize("p,top", [(2, 11), (3, 7), (4, 5), (1000, 2)])
+    def test_array_tuple_lines_are_format_tuple_per_row(self, p, top):
+        for n in range(top + 1):
+            for _, words in terms._row_chunks(terms._level(n, p)):
+                columns = insertion._tuple_columns(words, n)
+                want = "".join(a.format_tuple(u) + "\n" for u in columns.tolist())
+                assert insertion._tuple_lines(columns).tobytes().decode("ascii") == want
+
+    def test_array_tuple_lines_of_wide_entries(self):
+        columns = [[1, 9, 10, 99, 100, 12345],
+                   [7, 10**9, 10**9, 10**15, 10**17, 999999999999999999]]
+        want = "".join(a.format_tuple(u) + "\n" for u in columns)
+        got = insertion._tuple_lines(np.array(columns, np.int64)).tobytes().decode("ascii")
+        assert got == want

@@ -700,6 +700,170 @@ class TestTextFormats:
             a.parse_spectrum_prefix("  \n ")
 
 
+def parse_partition_by_pieces(text):
+    """The per-piece reader that ``parse_partition`` replaced: the oracle of its answers."""
+    lines = text.strip().splitlines()
+    if not lines:
+        raise ParseError("empty partition block")
+    m = spectra._HEADER_RE.match(lines[0].strip())
+    if not m:
+        raise ParseError(f"bad partition header: {lines[0]!r}")
+    level, p, n_classes = (int(g) for g in m.groups())
+    if p < 2:
+        raise ParseError(f"arity in header must be at least 2, got {p}")
+    count = terms._level_size(level, p, None)
+    if len(lines) - 1 != n_classes:
+        raise ParseError(f"header announces {n_classes} classes, found {len(lines) - 1} lines")
+    pieces, tuples, cids, fault = [], [], [], None
+    try:
+        for expected_id, line in enumerate(lines[1:]):
+            m = spectra._CLASS_RE.match(line.strip())
+            if not m:
+                raise ParseError(f"bad class line: {line!r}")
+            cid = int(m.group(1))
+            if cid != expected_id:
+                raise ParseError(f"class ids must count up from 0, got {cid}")
+            members = m.group(2).split()
+            if not members:
+                raise ParseError(f"class {cid} has no members")
+            for piece in members:
+                u = a.parse_tuple(piece)
+                try:
+                    if len(u) != level:
+                        raise ValueError
+                    insertion._check_member(u, p, 1)
+                except ValueError:
+                    raise ParseError(f"{piece} is not a level-{level} insertion tuple") from None
+                pieces.append(piece)
+                tuples.append(u)
+                cids.append(cid)
+    except ParseError as exc:
+        fault = exc
+    rank = {u: r for r, u in enumerate(a.enumerate_m(level, 1, p))}
+    seen = set()
+    for piece, u in zip(pieces, tuples):
+        if rank[u] in seen:
+            raise ParseError(f"{piece} is classified twice")
+        seen.add(rank[u])
+    if fault is not None:
+        raise fault
+    if len(seen) != count:
+        raise ParseError(f"{count - len(seen)} bracketings left unclassified at level {level}")
+    labels = [None] * count
+    for u, cid in zip(tuples, cids):
+        labels[rank[u]] = cid
+    return Partition(level, p, labels)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@st.composite
+def blocks_with_faults(draw):
+    """A valid partition block with one or two faults, each planted in a member or class line."""
+    p = draw(st.sampled_from([2, 3]))
+    level = draw(st.integers(0, 5 if p == 2 else 3))
+    size = a.catalan(level, p)
+    labels = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    lines = a.format_partition(Partition(level, p, labels)).split("\n")
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, len(lines) - 1))
+        head, _, body = lines[k].partition(": ")
+        pieces = body.split(" ")
+        j = draw(st.integers(0, len(pieces) - 1))
+        entries = pieces[j][1:-1].split(",") if level else []
+        i = draw(st.integers(0, max(level - 1, 0)))
+        kind = draw(st.sampled_from(["char", "length", "decrease", "bound", "duplicate", "int",
+                                     "class id"]))
+        if len(entries) != level or not all(e.isdigit() for e in entries):
+            kind = "char"  # a piece that an earlier fault changed
+        if kind == "char":
+            at = draw(st.integers(0, len(pieces[j])))
+            char = draw(st.sampled_from(list("a!é\u0663\t-+_ (),0") + ["\u2003", "\x1c"]))
+            pieces[j] = pieces[j][:at] + char + pieces[j][at:]
+        elif kind == "length":
+            entries = entries[:-1] if entries and draw(st.booleans()) else entries + ["1"]
+        elif kind == "decrease" and level >= 2:
+            entries[max(i, 1)] = str(int(entries[max(i, 1) - 1]) - 1)
+        elif kind == "bound" and level:
+            entries[i] = draw(st.sampled_from(["0", str((p - 1) * i + 2), "1" * 19, "1" * 25]))
+        elif kind == "duplicate":
+            pieces[j] = draw(st.sampled_from(" ".join(lines[1:]).replace(":", " ").split()))
+        elif kind == "int" and level:
+            e = entries[i]
+            entries[i] = draw(st.sampled_from(["+" + e, "0" + e, "1_0", e[0] + "_" + e[1:] or e]))
+        elif kind == "class id":
+            head = f"class {draw(st.integers(0, 9))}"
+        if kind in ("length", "decrease", "bound", "int"):
+            pieces[j] = "(" + ",".join(entries) + ")"
+        lines[k] = f"{head}: {' '.join(pieces)}"
+    return "\n".join(lines)
+
+
+class TestArrayParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks_with_faults())
+    def test_matches_the_per_piece_reader(self, text):
+        assert outcome(a.parse_partition, text) == outcome(parse_partition_by_pieces, text)
+
+    @pytest.mark.parametrize("members, message", [
+        ("(+1,2) (1,1)\nclass 1: (1,2)", "(1,2) is classified twice"),
+        ("(1,1) (1,1_0)\nclass 1: (1,2)", "(1,1_0) is not a level-2 insertion tuple"),
+        ("(1,1) (1,3) (1,1)\nclass 1: (1,2)", "(1,3) is not a level-2 insertion tuple"),
+        ("(1,1) (1,1)\nclass 1: (1,3)", "(1,1) is classified twice"),
+        ("(1,1) (1,0)\nclass 1: (1,2)", "(1,0) is not a level-2 insertion tuple"),
+        ("(1,1) (1," + "9" * 30 + ")\nclass 1: (1,2)", "is not a level-2 insertion tuple"),
+    ])
+    def test_faults_found_by_the_array_check(self, members, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            a.parse_partition(f"level=2 p=2 classes=2\nclass 0: {members}")
+
+    def test_int_forms_are_accepted_as_int_accepts_them(self):
+        text = "level=2 p=2 classes=2\nclass 0: (+1,0_1)\nclass 1: ( 1,2)"
+        assert a.parse_partition(text.replace("( 1", "(1")) == Partition(2, 2, [0, 1])
+        assert a.parse_partition(text.replace("( 1", "(\u0661")) == Partition(2, 2, [0, 1])
+
+    def test_format_partition_joins_the_tuple_lines_class_by_class(self):
+        for pi in (a.tau(6), a.left_factor_sigma(7, 2), Partition.equality(4, 3),
+                   Partition.full(0, 2), a.tail_tuple_sigma(5, 1, 4)):
+            trees = a.enumerate_bracketings(pi.level, pi.arity)
+            want = [f"level={pi.level} p={pi.arity} classes={pi.num_classes}"]
+            for cid, ranks in enumerate(pi.classes()):
+                want.append(f"class {cid}: "
+                            + " ".join(a.format_tuple(a.to_tuple(trees[r])) for r in ranks))
+            assert a.format_partition(pi) == "\n".join(want)
+
+
+def refinement_witness_by_loop(finer, coarser):
+    """The loop that ``_refinement_witness`` replaced: the oracle of its pair."""
+    seen = {}
+    for r, (cf, cc) in enumerate(zip(finer.class_of, coarser.class_of)):
+        first = seen.get(cf)
+        if first is None:
+            seen[cf] = (r, cc)
+        elif first[1] != cc:
+            return first[0], r
+    return None
+
+
+class TestRefinementWitness:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_loop(self, data):
+        n = data.draw(st.integers(0, 5))
+        size = a.catalan(n, 2)
+        finer, coarser = (Partition(n, 2, data.draw(st.lists(st.integers(0, k), min_size=size,
+                                                             max_size=size)))
+                          for k in (data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3))))
+        got = spectra._refinement_witness(finer, coarser)
+        assert got == refinement_witness_by_loop(finer, coarser)
+        assert finer.refines(coarser) == (got is None)
+
+
 class TestSpectrumPrefix:
     def test_levels_checked(self):
         with pytest.raises(ValueError):

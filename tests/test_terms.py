@@ -193,6 +193,27 @@ class TestWordArray:
         assert words.nbytes == 208012 * 25
 
 
+class TestInfixRows:
+    def test_rows_are_the_infix_of_each_word(self):
+        for n in range(12):
+            got = np.concatenate([rows for _, rows in terms._infix_rows(n)])
+            assert got.shape == (a.catalan(n, 2), 3 * n + 1)
+            want = [terms._infix(w) for w in terms._texts(terms._level(n, 2))]
+            assert terms._texts(got) == want
+
+    def test_chunks_start_at_their_first_rank(self):
+        starts = [lo for lo, _ in terms._infix_rows(11)]
+        sizes = [len(rows) for _, rows in terms._infix_rows(11)]
+        assert starts == list(itertools.accumulate(sizes[:-1], initial=0))
+        assert max(sizes) * 34 <= terms._CHUNK_CELLS
+
+    def test_first_child_levels_follow_the_canonical_order(self):
+        for n in range(1, 9):
+            ranks, levels = terms._children(n, 2)
+            runs = np.flatnonzero(ranks[:, 1] == 0)  # a run starts at its first right child
+            assert np.array_equal(terms._first_child_levels(n), levels[runs, 0])
+
+
 class TestParseRender:
     def test_prefix_examples(self):
         t = a.parse_bracketing("wwxxx", 2)
