@@ -80,7 +80,8 @@ def _tuple_lines(columns: np.ndarray) -> np.ndarray:
 def _tuple_words(tuples, n: int, p: int) -> np.ndarray:
     """Word array of level-n insertion tuples; inverse of :func:`_tuple_columns`."""
     words = np.full((len(tuples), p * n + 1), _X, np.uint8)
-    where = np.array(tuples, np.intp).reshape(len(tuples), n) + np.arange(n) - 1
+    where = np.array(tuples, np.intp).reshape(len(tuples), n)
+    where += np.arange(n) - 1
     np.put_along_axis(words, where, _W, axis=1)
     return words
 

@@ -37,6 +37,7 @@ from .insertion import (
     _tuple_lines,
     _tuple_words,
     catalan,
+    format_tuple,
     parse_tuple,
 )
 from .terms import (
@@ -546,11 +547,14 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
 
     The level named in the header is checked against ``max_count`` (the
     default cap when ``None``) first; the level itself is never built, since
-    each member's word is ranked with the ballot table.  A class line whose
-    members all have the form of level-n tuples is read as one array
-    (:func:`_line_tuples`), and entries, order and bounds are checked over
-    all members at once.  Of several faults, the first in reading order is
-    reported, with the message :func:`_parse_member` gives that piece; a
+    each member's word is ranked with the ballot table.  Every member is
+    checked with one regex (:func:`_member_re`); the members of the whole
+    block are then read as integers in one pass (:func:`_entries`), and
+    order and bounds are checked over all of them at once.  A line of
+    another form is read piece by piece (:func:`_parse_member`, which
+    accepts what ``int`` accepts, such as ``+1`` or ``1_0``) and written
+    back in the plain form.  Of several faults, the first in reading order
+    is reported, with the message :func:`_parse_member` gives that piece; a
     member classified twice before it is reported instead.
     """
     lines = text.strip().splitlines()
@@ -565,7 +569,7 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
     count = _level_size(level, p, max_count)
     if len(lines) - 1 != n_classes:
         raise ParseError(f"header announces {n_classes} classes, found {len(lines) - 1} lines")
-    pieces, blocks, cids, fault = [], [], [], None
+    pieces, plain, sizes, fault = [], [], [], None
     for expected_id, line in enumerate(lines[1:]):
         m = _CLASS_RE.match(line.strip())
         if not m:
@@ -575,14 +579,23 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
         elif not m.group(2):
             fault = ParseError(f"class {expected_id} has no members")
         else:
-            these = m.group(2).split()
-            rows, fault = _line_tuples(m.group(2), these, level, p)
-            pieces += these[:len(rows)]
-            blocks.append(rows)
-            cids.append(np.full(len(rows), expected_id))
+            members, these = m.group(2), m.group(2).split()
+            if not all(map(_member_re(level).fullmatch, these)):
+                tuples = []
+                for piece in these:
+                    try:
+                        tuples.append(_parse_member(piece, level, p))
+                    except ParseError as exc:
+                        fault = exc
+                        break
+                these = these[:len(tuples)]
+                members = " ".join(map(format_tuple, tuples))
+            pieces += these
+            plain.append(members)
+            sizes.append(len(these))
         if fault is not None:
             break  # raised after any duplicate or array fault that comes before it
-    tuples = np.concatenate(blocks) if blocks else np.zeros((0, level), np.int64)
+    tuples = _entries(" ".join(plain)).reshape(len(pieces), level)
     bad = (tuples < 1) | (tuples > (p - 1) * np.arange(level) + 1)
     bad[:, 1:] |= tuples[:, 1:] < tuples[:, :-1]
     first_bad = int(bad.any(axis=1).argmax()) if bad.any() else len(tuples)
@@ -599,7 +612,7 @@ def parse_partition(text: str, *, max_count: int | None = None) -> Partition:
     if len(ranks) != count:
         raise ParseError(f"{count - len(ranks)} bracketings left unclassified at level {level}")
     labels = np.empty(count, np.intp)
-    labels[ranks] = np.concatenate(cids)
+    labels[ranks] = np.repeat(np.arange(len(sizes)), sizes)
     return Partition._from_ids(level, p, _group_rows(labels[:, None])[1])
 
 
@@ -616,39 +629,40 @@ def _parse_member(piece: str, level: int, p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _members_re(level: int) -> re.Pattern:
-    """Members text of level-``level`` tuples of at most 18 ASCII digits per entry."""
-    one = r"\(\)" if level == 0 else r"\((?:[0-9]{1,18},){%d}[0-9]{1,18}\)" % (level - 1)
-    return re.compile(rf"{one}(?:\s+{one})*")
+def _member_re(level: int) -> re.Pattern:
+    """A level-``level`` tuple of at most 18 ASCII digits per entry.
 
-
-def _line_tuples(members: str, pieces: list[str], level: int,
-                 p: int) -> tuple[np.ndarray, ParseError | None]:
-    """The tuples of one class line's members (split into ``pieces``) and the fault that stops them.
-
-    Members of the form :func:`_members_re` are read in one pass over their
-    bytes: every entry is a run of digits, its value the sum of each digit
-    times ten to the power of the digits after it, so only the checks of
-    order and bounds remain.  Any other line goes piece by piece through
-    :func:`_parse_member`, which accepts whatever ``int`` does (``+1``,
-    ``1_0``) and stops at the first faulty piece.
+    Matched against one piece at a time: a pattern that repeats a group
+    over a whole line keeps backtracking state for every repetition.
     """
-    if _members_re(level).fullmatch(members):
-        text = np.frombuffer(members.encode(), np.uint8)
-        digit = np.flatnonzero((text >= ord("0")) & (text <= ord("9")))
-        # the separator after every digit; each entry is the digits before one separator
-        after = np.flatnonzero((text < ord("0")) | (text > ord("9")))
-        after = after[np.searchsorted(after, digit)]
-        value = (text[digit] - ord("0")).astype(np.int64) * 10 ** (after - digit - 1)
-        entries = np.add.reduceat(value, np.flatnonzero(np.diff(after, prepend=-1)))
-        return entries.reshape(len(pieces), level), None
-    rows = []
-    for piece in pieces:
-        try:
-            rows.append(_parse_member(piece, level, p))
-        except ParseError as exc:
-            return np.array(rows, np.int64).reshape(len(rows), level), exc
-    return np.array(rows, np.int64).reshape(len(rows), level), None
+    entry = "[0-9]{1,18}"
+    return re.compile(rf"\((?:{entry},){{{level - 1}}}{entry}\)" if level else r"\(\)")
+
+
+def _entries(text: str) -> np.ndarray:
+    """The decimal numbers of ``text`` in order; each has at most 18 ASCII digits.
+
+    Read ``_CHUNK_CELLS`` characters at a time, each window cut where no
+    number runs across it; a number's value is built digit by digit.
+    """
+    chars = np.frombuffer(text.encode(), np.uint8)
+    out = [np.zeros(0, np.int64)]
+    lo = 0
+    while lo < len(chars):
+        hi = lo + _CHUNK_CELLS
+        while hi < len(chars) and ord("0") <= chars[hi - 1] <= ord("9"):
+            hi += 1
+        window = chars[lo:hi]
+        digit = (window >= ord("0")) & (window <= ord("9"))
+        starts, ends = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2).T
+        widths = ends - starts
+        values = np.zeros(len(starts), np.int64)
+        for place in range(int(widths.max(initial=0))):
+            more = widths > place
+            values[more] = values[more] * 10 + (window[starts[more] + place] - ord("0"))
+        out.append(values)
+        lo = hi
+    return np.concatenate(out)
 
 
 def format_spectrum_prefix(sigma: SpectrumPrefix) -> str:
