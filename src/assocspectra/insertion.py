@@ -57,7 +57,7 @@ def _tuple_lines(columns: np.ndarray) -> np.ndarray:
     widths before it, and level 0 gives ``()``.
     """
     rows, n = columns.shape
-    digits = np.ones(columns.shape, np.intp)
+    digits = np.ones(columns.shape, np.int32)  # a chunk's buffer is far below 2**31 bytes
     top = int(columns.max(initial=0))
     for power in (10 ** e for e in range(1, len(str(top)))):
         digits += columns >= power
@@ -70,10 +70,11 @@ def _tuple_lines(columns: np.ndarray) -> np.ndarray:
     out[first + width - 2] = ord(")")
     out[first + width - 1] = ord("\n")
     ends = (starts + digits - 1 + first[:, None]).ravel()  # each entry's last digit
-    value, digits = columns.ravel(), digits.ravel()
+    rest, digits = columns.ravel().copy(), digits.ravel()
     for place in range(len(str(top))):
         more = digits > place
-        out[ends[more] - place] = value[more] // 10 ** place % 10 + ord("0")
+        out[ends[more] - place] = rest[more] % 10 + ord("0")
+        rest //= 10
     return out
 
 
