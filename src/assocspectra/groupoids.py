@@ -144,7 +144,7 @@ def eval_term(g: Groupoid, t: Bracketing, args) -> int:
     bad = [a for a in args if not 0 <= a < g.size]
     if bad:
         raise ValueError(f"element {bad[0]!r} outside the carrier 0..{g.size - 1}")
-    return _fold(_word_of(t), t.arity, args, lambda kids: g.apply(*kids))
+    return _fold(_word_of(t), t.arity, args.__getitem__, g.apply)
 
 
 class TermFunction:
@@ -186,8 +186,8 @@ def term_function(g: Groupoid, t: Bracketing, *, max_cells: int | None = None) -
         raise ValueError(f"bracketing arity {t.arity} does not match groupoid arity {g.arity}")
     require_cap(g.size ** t.length, max_cells, DEFAULT_MAX_CELLS, "term table needs {} cells")
     identity = np.arange(g.size, dtype=g._array.dtype)
-    values = _fold(_word_of(t), t.arity, (identity,) * t.length,
-                   lambda kids: g._array[np.ix_(*kids)].ravel())
+    values = _fold(_word_of(t), t.arity, lambda i: identity,
+                   lambda *kids: g._array[np.ix_(*kids)].ravel())
     return TermFunction(t.occ, g.arity, g.size, values)
 
 
@@ -485,8 +485,7 @@ class TruncatedRing:
         args = [self.element(a) for a in args]
         if len(args) != t.length:
             raise ValueError(f"expected {t.length} arguments, got {len(args)}")
-        value = _fold(_word_of(t), t.arity, np.array(args), lambda kids: _ring_op(*kids))
-        return tuple(value.tolist())
+        return tuple(_fold(_word_of(t), t.arity, np.array(args).__getitem__, _ring_op).tolist())
 
     def __repr__(self):
         return f"TruncatedRing(truncation={self.truncation})"

@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from math import comb
-from operator import le, sub
 from typing import Iterator
 
 import numpy as np
@@ -88,10 +87,6 @@ def _tuple_words(tuples, n: int, p: int) -> np.ndarray:
 
 
 def _check_member(u: tuple[int, ...], p: int, k: int) -> None:
-    # the common case in C-level passes; the loop names the first fault of any other
-    if (p >= 2 and set(map(type, u)) <= {int} and all(map(le, u, u[1:]))
-            and all(map(le, u, range(k, (p - 1) * len(u) + k, p - 1))) and (not u or u[0] >= 1)):
-        return
     for i, v in enumerate(u, start=1):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"tuple entries must be integers, got {v!r}")
@@ -113,7 +108,7 @@ def from_tuple(u, p: int) -> Bracketing:
     _check_member(u, p, 1)
     # the runs of variables between operation symbols, as to_tuple splits them
     bounds = (1, *u, (p - 1) * len(u) + 2)
-    return _parse_prefix("w".join(map("x".__mul__, map(sub, bounds[1:], bounds))), p)
+    return _parse_prefix("w".join("x" * (b - a) for a, b in zip(bounds, bounds[1:])), p)
 
 
 def beta_update(u, i: int, p: int) -> tuple[int, ...]:

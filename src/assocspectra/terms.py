@@ -80,16 +80,7 @@ def leaf(p: int) -> Bracketing:
     return Bracketing(p, ())
 
 
-class _NodeCache(dict):
-    """Children tuple -> the one node over them; a missing node is made on lookup."""
-
-    def __missing__(self, children: tuple[Bracketing, ...]) -> Bracketing:
-        node = self[children] = Bracketing(len(children), children)
-        return node
-
-
-# ``_node_cache[children]`` joins unchecked: they must be ``p`` trees of arity ``p``
-_node_cache = _NodeCache()
+_node_cache: dict[tuple[Bracketing, ...], Bracketing] = {}
 
 
 def node(*children: Bracketing) -> Bracketing:
@@ -102,7 +93,13 @@ def node(*children: Bracketing) -> Bracketing:
             raise TypeError(f"children must be bracketings, got {type(c).__name__}")
         if c.arity != p:
             raise ValueError(f"child of arity {c.arity} cannot sit under a {p}-ary node")
-    return _node_cache[children]
+    return _node_cache.get(children) or _join(children)
+
+
+def _join(children: tuple[Bracketing, ...]) -> Bracketing:
+    """The interned node over ``children``, unchecked: they must be ``p`` trees of arity ``p``."""
+    # one lookup, which suits a caller that mostly builds new nodes
+    return _node_cache.setdefault(children, Bracketing(len(children), children))
 
 
 def _word_of(t: Bracketing) -> str:
@@ -118,29 +115,26 @@ def _word_of(t: Bracketing) -> str:
     return t._word
 
 
-def _fold(word: str, p: int, leaves, combine):
+def _fold(word: str, p: int, leaf, combine):
     """Evaluate a prefix word of arity ``p`` bottom-up: the one decoder of prefix words.
 
-    ``leaves[i]`` is the value of the i-th variable (from 0, left to right)
-    and ``combine((v_1, ..., v_p))`` that of an operation symbol (any
-    non-``x``) over its operands', passed as one tuple, so that interning
-    is a single dict lookup.  The word is scanned right to left, so the
-    stack top holds the leftmost pending value.  A word of no single
-    bracketing raises.
+    ``leaf(i)`` gives the value of the i-th variable (from 0, left to right)
+    and ``combine(v_1, ..., v_p)`` that of an operation symbol (any non-``x``)
+    over its operands'.  The word is scanned right to left, so the stack top
+    holds the leftmost pending value.  A word of no single bracketing raises.
     """
     stack = []
-    push = stack.append
     i = word.count("x")
     for ch in reversed(word):
         if ch == "x":
             i -= 1
-            push(leaves[i])
+            stack.append(leaf(i))
         elif len(stack) < p:
             raise ParseError(f"an operation symbol has fewer than {p} operands: {word!r}")
         else:
-            kids = tuple(stack[:-p - 1:-1])
+            kids = stack[:-p - 1:-1]
             del stack[-p:]
-            push(combine(kids))
+            stack.append(combine(*kids))
     if len(stack) != 1:
         raise ParseError(f"expected one bracketing, found {len(stack)}: {word!r}")
     return stack[0]
@@ -381,7 +375,7 @@ def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> li
         ranks, levels = _children(m, p)
         start[m] = len(trees)
         kids = [list(map(trees.__getitem__, c)) for c in (start[levels] + ranks).T.tolist()]
-        level = list(map(_node_cache.__getitem__, zip(*kids)))
+        level = list(map(_join, zip(*kids)))
         for t, word in zip(level, _texts(_level(m, p))):
             t._word = word
         trees += level
@@ -408,7 +402,8 @@ def _parse_prefix(text: str, p: int) -> Bracketing:
     rest = text.lstrip("wx")
     if rest:
         raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
-    t = _fold(text, p, (leaf(p),) * len(text), _node_cache.__getitem__)
+    x = leaf(p)
+    t = _fold(text, p, lambda i: x, lambda *kids: _node_cache.get(kids) or _join(kids))
     t._word = text
     return t
 
