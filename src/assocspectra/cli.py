@@ -1,13 +1,16 @@
 """Command-line front end: enumeration, counting, spectra, closure checks, gallery.
 
 Exit codes: 0 success (or CLOSED), 1 closure violation, 2 usage or schema
-error, 3 cap exceeded, 4 unsupported operation.
+error, 3 cap exceeded, 4 unsupported operation.  A reader that closes stdout
+early (``enum ... | head``) ends the command quietly with 141, the code a
+shell reports for a process that SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal
 
@@ -252,11 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CLOSED_STDOUT = 141  # 128 + SIGPIPE
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout cannot be written or flushed any more; point it at devnull
+        # so that the interpreter's last flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _CLOSED_STDOUT
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

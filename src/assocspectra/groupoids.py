@@ -200,12 +200,11 @@ def _require_level(g: Groupoid, n: int, max_cells: int | None, max_count: int | 
 
 def fine_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
                   max_count: int | None = None):
-    """Yield the fine partitions of levels 0..max_n, tabulating each level once.
+    """Yield the fine partitions of levels 0..max_n, classifying each level once.
 
     The highest level that the caps admit is found first; both needs grow
-    with ``n``.  The levels below it keep one table per class, which the
-    levels above gather from; it keeps none.  Then the refusal of the level
-    above it, a :class:`CapExceededError`, is raised.
+    with ``n``.  :func:`_walk` classifies the levels up to it.  Then the
+    refusal of the level above it, a :class:`CapExceededError`, is raised.
     """
     top, refusal = max_n, None
     for n in range(max_n + 1):
@@ -214,21 +213,8 @@ def fine_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
         except CapExceededError as exc:
             top, refusal = n - 1, exc
             break
-    op = g._array
-    tables = [np.arange(g.size, dtype=op.dtype)]  # one per class id, all kept levels
-    class_ids = np.zeros(1, np.intp)  # of every kept bracketing, level after level
-    start = [0]  # where each kept level begins in class_ids
-    if top >= 0:
-        yield Partition(0, g.arity, [0])
-    for n in range(1, top + 1):
-        base = len(tables)
-        ranks, levels = _children(n, g.arity)
-        keys, which = _group_rows(class_ids[np.array(start)[levels] + ranks])
-        labels = np.array(_top_classes(op, tables, keys.tolist(), keep=n < top))[which]
+    for n, (labels, _) in enumerate(_walk(g, top)):
         yield Partition._from_ids(n, g.arity, labels)
-        if n < top:
-            start.append(len(class_ids))
-            class_ids = np.concatenate([class_ids, base + labels])
     if refusal:
         raise refusal
 
@@ -238,6 +224,115 @@ def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
     """Partition level ``n`` by equality of induced term functions."""
     _require_level(g, n, max_cells, max_count)
     return list(fine_spectrum(g, n, max_cells=max_cells, max_count=max_count))[-1]
+
+
+_P = 2**31 - 1  # moments are taken mod this prime
+
+
+def _weights(positions: int, size: int) -> np.ndarray:
+    """``r[v, a]`` in ``[1, P)``: the fixed weight of element ``a`` at variable position ``v``."""
+    return np.random.default_rng(0).integers(1, _P, size=(positions, size), dtype=np.int64)
+
+
+def _walk(g: Groupoid, top: int):
+    """Yield each bracketing's class id and each class's moments, level by level up to ``top``.
+
+    A level's keys are the distinct tuples of its bracketings' child classes.
+    The moment at offset ``k`` of a function ``T`` of ``m`` variables is the
+    vector ``M_k[z] = sum of prod_v r[k + v, x_v] over the x with T(x) = z``,
+    mod P (see :func:`_weights`); a level-n class needs the offsets
+    ``0..(p-1)*(top-n)``, and :func:`_moments` computes a key's from its
+    children's.  Equal tables give equal moments, so a key whose offset-0
+    moment no other key of its level shares starts a class of its own, and
+    no table is built for it.  Keys that share a moment are told apart by
+    their tables, gathered from their children's class tables, and merge
+    only when those are equal.  A class table is built from the class's
+    first key when a gather first needs it, and kept.  Each level yields an
+    ``(N,)`` array of class ids, counted up by first appearance, and a
+    ``(classes, offsets, size)`` array of moments.
+    """
+    if top < 0:
+        return
+    p, op = g.arity, g._array
+    flat = _weights((p - 1) * top + 1, g.size)  # every kept class's moments, one row an offset
+    yield np.zeros(1, np.intp), flat[None]
+    row = np.zeros(1, np.intp)  # per class of the levels below: its offset-0 row in flat
+    length = np.ones(1, np.intp)  # per class: its number of variables
+    first_keys: list = [None]  # per class: the child classes of its first key
+    tables = {0: np.arange(g.size, dtype=op.dtype)}  # per class, built on demand
+
+    def table(c: int) -> np.ndarray:
+        if c not in tables:
+            tables[c] = _gather(op, [table(k) for k in first_keys[c]])
+        return tables[c]
+
+    class_ids = np.zeros(1, np.intp)  # of every bracketing below, level after level
+    start = [0]  # where each level begins in class_ids
+    for n in range(1, top + 1):
+        ranks, levels = _children(n, p)
+        keys, which = _group_rows(class_ids[np.array(start)[levels] + ranks])
+        offsets = (p - 1) * (top - n) + 1
+        moments = _moments(op, flat, row[keys], length[keys], offsets)
+        group = _group_rows(moments[:, 0])[1]
+        shared = np.flatnonzero(np.bincount(group)[group] > 1)
+        shared = shared[np.argsort(group[shared], kind="stable")]  # by moment, then by key
+        for c in np.unique(keys[shared]).tolist():
+            table(c)
+        sub = np.zeros(len(keys), np.intp)  # which distinct table of its moment a key has
+        kept = {}  # below the top: a shared key that starts a class -> its table
+        reps, last = [], -1  # the distinct tables of the moment at hand
+        for k, moment, key in zip(shared.tolist(), group[shared].tolist(),
+                                  keys[shared].tolist()):
+            if moment != last:
+                reps, last = [], moment
+            values = _gather(op, [tables[c] for c in key])
+            i = next((i for i, rep in enumerate(reps) if np.array_equal(values, rep)), len(reps))
+            if i == len(reps):
+                reps.append(values)
+                if n < top:
+                    kept[k] = values
+            sub[k] = i
+        key_class = _group_rows(np.stack([group, sub], axis=1))[1]
+        firsts = np.unique(key_class, return_index=True)[1]
+        labels = key_class[which]
+        yield labels, moments[firsts]
+        if n < top:
+            base = len(row)
+            tables.update((base + int(key_class[k]), v) for k, v in kept.items())
+            first_keys += keys[firsts].tolist()
+            row = np.concatenate([row, len(flat) + offsets * np.arange(len(firsts))])
+            length = np.concatenate([length, np.full(len(firsts), (p - 1) * n + 1)])
+            flat = np.concatenate([flat, moments[firsts].reshape(-1, g.size)])
+            start.append(len(class_ids))
+            class_ids = np.concatenate([class_ids, base + labels])
+
+
+def _moments(op: np.ndarray, flat: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
+             offsets: int) -> np.ndarray:
+    """The moments of keys at the offsets ``0..offsets-1``, a ``(keys, offsets, size)`` array.
+
+    ``rows`` and ``lengths`` hold each child's offset-0 row in ``flat`` and
+    its number of variables, both ``(keys, p)``; a child is read at the key's
+    offset plus the lengths of the children before it.  The children are
+    multiplied in one at a time, mod P after each product, and the products
+    of all ``size**p`` arguments are summed by the operation's value.
+    """
+    size, values = op.shape[0], op.ravel()
+    order = np.argsort(values, kind="stable")
+    count = np.bincount(values, minlength=size)
+    hit = np.flatnonzero(count)  # the values the operation takes
+    edges = (np.cumsum(count) - count)[hit]
+    at = (rows + np.cumsum(lengths, axis=1) - lengths)[:, :, None] + np.arange(offsets)
+    out = np.zeros((len(rows), offsets, size), np.int64)
+    step = max(1, _CHUNK_CELLS // (offsets * values.size))
+    for lo in range(0, len(rows), step):
+        chunk = at[lo:lo + step]
+        prod = flat[chunk[:, 0]]
+        for i in range(1, op.ndim):
+            prod = (prod[..., None] * flat[chunk[:, i]][..., None, :] % _P).reshape(
+                *prod.shape[:2], -1)
+        out[lo:lo + step, :, hit] = np.add.reduceat(prod[..., order], edges, axis=-1) % _P
+    return out
 
 
 def _gather(op: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
@@ -250,44 +345,6 @@ def _gather(op: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     for axis in range(len(tables) - 1, -1, -1):
         out = out.take(tables[axis], axis=axis)
     return out.ravel()
-
-
-def _fingerprint(values: np.ndarray) -> int:
-    """A salted hash of a table; it only picks merge candidates, never decides one."""
-    return hash(values.tobytes())
-
-
-def _top_classes(op: np.ndarray, tables: list[np.ndarray], keys, keep: bool = False) -> list[int]:
-    """Class ids of a level's distinct child-class keys, counted up by first appearance.
-
-    Each key's table is computed and fingerprinted; only ``np.array_equal``
-    against a class representative merges it.  With ``keep``, each new class
-    appends its table to ``tables``, copied into one array that owns its cells.
-    Without it, a class keeps its first key and no table until a later
-    fingerprint matches it; the table is then rebuilt from that key and kept,
-    so singletons keep none.
-    """
-    by_print: dict[int, list[int]] = {}  # fingerprint -> candidate class ids
-    rep_keys: list[list[int]] = []
-    rep_tables: dict[int, np.ndarray] = {}
-    labels = []
-    for key in keys:
-        values = _gather(op, [tables[k] for k in key])
-        candidates = by_print.setdefault(_fingerprint(values), [])
-        for c in candidates:
-            if c not in rep_tables:
-                rep_tables[c] = _gather(op, [tables[k] for k in rep_keys[c]])
-            if np.array_equal(values, rep_tables[c]):
-                break
-        else:
-            c = len(rep_keys)
-            rep_keys.append(key)
-            candidates.append(c)
-            if keep:
-                rep_tables[c] = values = values.copy()
-                tables.append(values)
-        labels.append(c)
-    return labels
 
 
 def assoc_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,22 @@ class TestEnum:
     def test_huge_level_is_a_cap_error(self, capsys):
         code, out, err = run(capsys, "enum", "--p", "2", "--n", "20000")
         assert code == 3 and out == "" and "at least 2**19999" in err
+
+    def test_a_closed_stdout_ends_quietly(self):
+        # level 11 is 1.4 MB of text, far more than a pipe buffers, so the
+        # command is still writing when the reader goes away
+        src = str(Path(a.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen([sys.executable, "-m", "assocspectra", "enum", "--p", "2",
+                               "--n", "11"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first == b"wwwwwwwwwwwxxxxxxxxxxxx\n"
+        assert code == 141 and err == b""
 
 
 class TestCount:
