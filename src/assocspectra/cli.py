@@ -1,9 +1,7 @@
 """Command-line front end: enumeration, counting, spectra, closure checks, gallery.
 
 Exit codes: 0 success (or CLOSED), 1 closure violation, 2 usage or schema
-error, 3 cap exceeded, 4 unsupported operation.  A reader that closes stdout
-early (``enum ... | head``) ends the command quietly with 141, the code a
-shell reports for a process that SIGPIPE ended.
+error, 3 cap exceeded, 4 unsupported operation, 141 (quietly) stdout closed early.
 """
 
 from __future__ import annotations
@@ -255,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CLOSED_STDOUT = 141  # 128 + SIGPIPE
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -265,11 +260,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except BrokenPipeError:
-        # stdout cannot be written or flushed any more; point it at devnull
-        # so that the interpreter's last flush stays quiet too
+    except BrokenPipeError:  # the reader went away; keep the interpreter's last flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _CLOSED_STDOUT
+        return 141  # 128 + SIGPIPE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

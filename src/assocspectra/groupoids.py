@@ -2,9 +2,10 @@
 
 Term functions are tabulated densely with numpy, a node's table being its
 children's tables outer-indexed into the operation table.  Fine levels are
-tabulated by classes: a bracketing's term function depends only on its
-children's, so each level is built once per tuple of child classes from the
-distinct class tables of the levels below.
+classified by keys, the distinct tuples of child classes.  A key's moment,
+computed from its children's moments alone, is equal for equal tables, so a
+key whose moment no other key of its level shares starts a new class with no
+table built; tables are gathered only to confirm merges.
 """
 
 from __future__ import annotations
@@ -202,9 +203,9 @@ def fine_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
                   max_count: int | None = None):
     """Yield the fine partitions of levels 0..max_n, classifying each level once.
 
-    The highest level that the caps admit is found first; both needs grow
-    with ``n``.  :func:`_walk` classifies the levels up to it.  Then the
-    refusal of the level above it, a :class:`CapExceededError`, is raised.
+    The highest level that the caps admit is found first (both needs grow
+    with ``n``) and walked to; then the refusal of the level above it, a
+    :class:`CapExceededError`, is raised.
     """
     top, refusal = max_n, None
     for n in range(max_n + 1):
@@ -229,45 +230,32 @@ def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
 _P = 2**31 - 1  # moments are taken mod this prime
 
 
-def _weights(positions: int, size: int) -> np.ndarray:
-    """``r[v, a]`` in ``[1, P)``: the fixed weight of element ``a`` at variable position ``v``."""
-    return np.random.default_rng(0).integers(1, _P, size=(positions, size), dtype=np.int64)
-
-
 def _walk(g: Groupoid, top: int):
     """Yield each bracketing's class id and each class's moments, level by level up to ``top``.
 
-    A level's keys are the distinct tuples of its bracketings' child classes.
-    The moment at offset ``k`` of a function ``T`` of ``m`` variables is the
-    vector ``M_k[z] = sum of prod_v r[k + v, x_v] over the x with T(x) = z``,
-    mod P (see :func:`_weights`); a level-n class needs the offsets
-    ``0..(p-1)*(top-n)``, and :func:`_moments` computes a key's from its
-    children's.  Equal tables give equal moments, so a key whose offset-0
-    moment no other key of its level shares starts a class of its own, and
-    no table is built for it.  Keys that share a moment are told apart by
-    their tables, gathered from their children's class tables, and merge
-    only when those are equal.  A class table is built from the class's
-    first key when a gather first needs it, and kept.  Each level yields an
-    ``(N,)`` array of class ids, counted up by first appearance, and a
-    ``(classes, offsets, size)`` array of moments.
+    The moment at offset ``k`` of a function ``T`` is ``M_k[z] = sum of prod_v
+    r[k + v, x_v] over the x with T(x) = z``, mod P, for fixed weights
+    ``r[v, a]`` in ``[1, P)`` (level 0's moments); a level-n class takes the
+    offsets ``0..(p-1)*(top-n)`` from its first key.  Keys that share their
+    offset-0 moment are compared by tables, gathered from class tables that
+    are built when first needed and kept.  A level yields ``(N,)`` class ids
+    counted up by first appearance and ``(classes, offsets, size)`` moments.
     """
     if top < 0:
         return
     p, op = g.arity, g._array
-    flat = _weights((p - 1) * top + 1, g.size)  # every kept class's moments, one row an offset
-    yield np.zeros(1, np.intp), flat[None]
-    row = np.zeros(1, np.intp)  # per class of the levels below: its offset-0 row in flat
-    length = np.ones(1, np.intp)  # per class: its number of variables
-    first_keys: list = [None]  # per class: the child classes of its first key
-    tables = {0: np.arange(g.size, dtype=op.dtype)}  # per class, built on demand
+    flat = np.random.default_rng(0).integers(1, _P, ((p - 1) * top + 1, g.size), np.int64)
+    yield np.zeros(1, np.intp), flat[None]  # flat: every kept class's moments, a row an offset
+    row, length = np.zeros(1, np.intp), np.ones(1, np.intp)  # per class: its row 0, its width
+    first_keys: list = [()]  # per class: the child classes of its first key
+    tables = {(): np.arange(g.size, dtype=op.dtype)}  # per first key, once built
 
     def table(c: int) -> np.ndarray:
-        if c not in tables:
-            tables[c] = _gather(op, [table(k) for k in first_keys[c]])
-        return tables[c]
+        if first_keys[c] not in tables:
+            tables[first_keys[c]] = _gather(op, [table(k) for k in first_keys[c]])
+        return tables[first_keys[c]]
 
-    class_ids = np.zeros(1, np.intp)  # of every bracketing below, level after level
-    start = [0]  # where each level begins in class_ids
+    class_ids, start = np.zeros(1, np.intp), [0]  # of each bracketing below; each level's start
     for n in range(1, top + 1):
         ranks, levels = _children(n, p)
         keys, which = _group_rows(class_ids[np.array(start)[levels] + ranks])
@@ -276,55 +264,45 @@ def _walk(g: Groupoid, top: int):
         group = _group_rows(moments[:, 0])[1]
         shared = np.flatnonzero(np.bincount(group)[group] > 1)
         shared = shared[np.argsort(group[shared], kind="stable")]  # by moment, then by key
-        for c in np.unique(keys[shared]).tolist():
-            table(c)
+        children = {c: table(c) for c in np.unique(keys[shared]).tolist()}
         sub = np.zeros(len(keys), np.intp)  # which distinct table of its moment a key has
-        kept = {}  # below the top: a shared key that starts a class -> its table
-        reps, last = [], -1  # the distinct tables of the moment at hand
-        for k, moment, key in zip(shared.tolist(), group[shared].tolist(),
-                                  keys[shared].tolist()):
-            if moment != last:
-                reps, last = [], moment
-            values = _gather(op, [tables[c] for c in key])
-            i = next((i for i, rep in enumerate(reps) if np.array_equal(values, rep)), len(reps))
-            if i == len(reps):
-                reps.append(values)
-                if n < top:
-                    kept[k] = values
-            sub[k] = i
+        for _, run in itertools.groupby(shared.tolist(), group.__getitem__):
+            reps = []
+            for k in run:
+                key = tuple(keys[k].tolist())
+                values = _gather(op, [children[c] for c in key])
+                sub[k] = next((i for i, rep in enumerate(reps) if np.array_equal(values, rep)),
+                              len(reps))
+                if sub[k] == len(reps):
+                    reps.append(values)
+                    if n < top:  # the first key of a class: keep its table
+                        tables[key] = values
         key_class = _group_rows(np.stack([group, sub], axis=1))[1]
         firsts = np.unique(key_class, return_index=True)[1]
-        labels = key_class[which]
-        yield labels, moments[firsts]
+        yield key_class[which], moments[firsts]
         if n < top:
-            base = len(row)
-            tables.update((base + int(key_class[k]), v) for k, v in kept.items())
-            first_keys += keys[firsts].tolist()
+            start.append(len(class_ids))
+            class_ids = np.concatenate([class_ids, len(row) + key_class[which]])
+            first_keys += map(tuple, keys[firsts].tolist())
             row = np.concatenate([row, len(flat) + offsets * np.arange(len(firsts))])
             length = np.concatenate([length, np.full(len(firsts), (p - 1) * n + 1)])
             flat = np.concatenate([flat, moments[firsts].reshape(-1, g.size)])
-            start.append(len(class_ids))
-            class_ids = np.concatenate([class_ids, base + labels])
 
 
 def _moments(op: np.ndarray, flat: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
              offsets: int) -> np.ndarray:
     """The moments of keys at the offsets ``0..offsets-1``, a ``(keys, offsets, size)`` array.
 
-    ``rows`` and ``lengths`` hold each child's offset-0 row in ``flat`` and
-    its number of variables, both ``(keys, p)``; a child is read at the key's
-    offset plus the lengths of the children before it.  The children are
-    multiplied in one at a time, mod P after each product, and the products
-    of all ``size**p`` arguments are summed by the operation's value.
+    ``rows`` and ``lengths`` give each child's offset-0 row in ``flat`` and its
+    width; child i is read at the key's offset plus the widths before it.  The
+    children multiply in one at a time, mod P, and the ``size**p`` products
+    are summed by the operation's value.
     """
-    size, values = op.shape[0], op.ravel()
-    order = np.argsort(values, kind="stable")
-    count = np.bincount(values, minlength=size)
-    hit = np.flatnonzero(count)  # the values the operation takes
-    edges = (np.cumsum(count) - count)[hit]
+    order = np.argsort(op, axis=None, kind="stable")
+    hit, edges = np.unique(op.ravel()[order], return_index=True)
     at = (rows + np.cumsum(lengths, axis=1) - lengths)[:, :, None] + np.arange(offsets)
-    out = np.zeros((len(rows), offsets, size), np.int64)
-    step = max(1, _CHUNK_CELLS // (offsets * values.size))
+    out = np.zeros((len(rows), offsets, op.shape[0]), np.int64)
+    step = max(1, _CHUNK_CELLS // (offsets * op.size))
     for lo in range(0, len(rows), step):
         chunk = at[lo:lo + step]
         prod = flat[chunk[:, 0]]

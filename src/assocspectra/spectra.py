@@ -137,29 +137,15 @@ class Partition:
         return f"Partition(level={self.level}, p={self.arity}, classes={self.num_classes})"
 
 
-_FOLD_LIMIT = 2**63  # a folded code stays below it
-
-
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``keys`` in order of first appearance, and each row's index there.
-
-    The columns, shifted to be nonnegative (so each must span less than
-    2**63), are folded into one int64 code, one column at a time.  Where the
-    next radix would overflow, the code is first renumbered densely, and then
-    the column too if that is not enough.
-    """
-    code, bound = np.zeros(len(keys), np.int64), 1  # code < bound
+    """The distinct rows of ``keys`` in order of first appearance, and each row's index there."""
+    code = np.zeros(len(keys), np.int64)  # the columns folded, renumbered before an overflow
     for column in keys.T.astype(np.int64, order="C"):
-        column -= column.min(initial=0)
-        radix = int(column.max(initial=0)) + 1
-        if bound * radix >= _FOLD_LIMIT:
-            distinct, code = np.unique(code, return_inverse=True)
-            bound = len(distinct)
-        if bound * radix >= _FOLD_LIMIT:
-            distinct, column = np.unique(column, return_inverse=True)
-            radix = len(distinct)
-        code = code * radix + column
-        bound *= radix
+        column -= column.min(initial=0)  # so a column must span less than 2**63
+        if (int(code.max(initial=0)) + 1) * (int(column.max(initial=0)) + 1) >= 2**63:
+            code = np.unique(code, return_inverse=True)[1]
+            column = np.unique(column, return_inverse=True)[1]
+        code = code * (int(column.max(initial=0)) + 1) + column
     first, inverse = np.unique(code, return_index=True, return_inverse=True)[1:]
     order = np.argsort(first)
     position = np.empty_like(order)

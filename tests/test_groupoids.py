@@ -431,6 +431,51 @@ class TestFineSpectrum:
         assert peak < 24 * 2**20
 
 
+def brute_moment(values, weights, size):
+    """``sum of prod_v weights[v][x_v] over the x with T(x) = z`` mod P, from ``T``'s table."""
+    prod = np.ones(1, np.int64)
+    for w in weights:  # the first variable is the most significant digit of a table index
+        prod = (prod[:, None] * w[None, :] % groupoids._P).ravel()
+    return [int(prod[values == z].sum()) % groupoids._P for z in range(size)]
+
+
+class TestMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_walk_moments_are_the_sums_over_the_tables(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        size = data.draw(st.integers(1, 3))
+        table = data.draw(st.lists(st.integers(0, size - 1), min_size=size ** p,
+                                   max_size=size ** p))
+        g = Groupoid(p, size, table)
+        top = data.draw(st.integers(0, 4))
+        walk = list(groupoids._walk(g, top))
+        weights = walk[0][1][0]  # a variable's moments are the weights r[k, a]
+        assert weights.shape == ((p - 1) * top + 1, size)
+        assert weights.min() >= 1 and weights.max() < groupoids._P
+        for n, (labels, moments) in enumerate(walk):
+            assert moments.shape == (labels.max() + 1, (p - 1) * (top - n) + 1, size)
+            for t, c in zip(a.enumerate_bracketings(n, p), labels.tolist()):
+                values = a.term_function(g, t).values
+                for k in range(moments.shape[1]):
+                    want = brute_moment(values, weights[k:k + t.length], size)
+                    assert moments[c, k].tolist() == want
+
+    def test_proven_new_classes_build_no_table(self):
+        # level 2 has one key per child position of the level-1 term, each in a
+        # class of its own; a table of one of them holds 2**23 one-byte cells
+        rng = random.Random(0)
+        g = Groupoid(12, 2, [rng.randrange(2) for _ in range(2 ** 12)])
+        tracemalloc.start()
+        try:
+            pi = a.fine_level(g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pi.num_classes == 12
+        assert peak < 2 ** 23
+
+
 class TestAssocSpectrum:
     def test_associative_control(self):
         g = a.gallery("const_assoc", m=3)

@@ -864,6 +864,39 @@ class TestRefinementWitness:
         assert finer.refines(coarser) == (got is None)
 
 
+def group_rows_by_unique_axis0(keys):
+    """The ``np.unique(axis=0)`` grouping that ``_group_rows`` replaced: its oracle."""
+    distinct, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return distinct[order], position[inverse.reshape(-1)]
+
+
+class TestGroupRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_unique_rows(self, data):
+        # rows near 2**62 overflow a fold of two columns, so the code and then
+        # the column are renumbered; few distinct values make many rows repeat
+        rows, cols = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 6))
+        bases = data.draw(st.lists(st.sampled_from([0, 2**31 - 2, 2**62, 2**63 - 4]),
+                                   min_size=cols, max_size=cols))
+        small = data.draw(st.lists(st.integers(0, 3), min_size=rows * cols,
+                                   max_size=rows * cols))
+        keys = np.array(bases, np.int64) + np.array(small, np.int64).reshape(rows, cols)
+        got, want = spectra._group_rows(keys), group_rows_by_unique_axis0(keys)
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == keys.dtype
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+    def test_small_rows_keep_their_dtype(self, dtype):
+        keys = np.array([[3, 1], [0, 2], [3, 1], [0, 0], [0, 2]], dtype)
+        got = spectra._group_rows(keys)
+        assert got[0].dtype == dtype and got[0].tolist() == [[3, 1], [0, 2], [0, 0]]
+        assert got[1].tolist() == [0, 1, 0, 2, 1]
+
+
 class TestSpectrumPrefix:
     def test_levels_checked(self):
         with pytest.raises(ValueError):
