@@ -11,6 +11,7 @@ table built; tables are gathered only to confirm merges.
 from __future__ import annotations
 
 import itertools
+import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -244,7 +245,9 @@ def _walk(g: Groupoid, top: int):
     if top < 0:
         return
     p, op = g.arity, g._array
-    flat = np.random.default_rng(0).integers(1, _P, ((p - 1) * top + 1, g.size), np.int64)
+    # the weights r[v, a]; importing numpy.random instead would take 5 MiB
+    weights = random.Random(0).randbytes(8 * ((p - 1) * top + 1) * g.size)
+    flat = (np.frombuffer(weights, np.uint64) % (_P - 1) + 1).astype(np.int64).reshape(-1, g.size)
     yield np.zeros(1, np.intp), flat[None]  # flat: every kept class's moments, a row an offset
     row, length = np.zeros(1, np.intp), np.ones(1, np.intp)  # per class: its row 0, its width
     first_keys: list = [()]  # per class: the child classes of its first key
