@@ -14,7 +14,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .errors import CapExceededError, UnsupportedOperationError
+from .errors import CapExceededError, UnsupportedOperationError, check_nonnegative
 from .groupoids import (
     GALLERY_ENTRIES,
     TruncatedRing,
@@ -76,8 +76,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.max_n < 0:
-        raise ValueError(f"horizon must be nonnegative, got {args.max_n}")
+    check_nonnegative(args.max_n, "horizon")
     with open(args.table, encoding="utf-8") as fh:
         g = load_groupoid(json.load(fh))
     partitions, code = [], 0
@@ -145,7 +144,7 @@ def _cut(sigma: SpectrumPrefix, max_n: int | None, source: str) -> SpectrumPrefi
     if max_n is None:
         return sigma
     _check_horizon(max_n, sigma.horizon, source)
-    return SpectrumPrefix(sigma.partitions[:max_n + 1])
+    return build_prefix(sigma.partitions.__getitem__, max_n)
 
 
 def _check_horizon(max_n: int, horizon: int, source: str) -> None:

@@ -37,6 +37,12 @@ def check_int(value, name: str, minimum: int, error: type[ValueError] = ValueErr
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_nonnegative(value: int, name: str) -> None:
+    """Raise ``ValueError`` when ``value`` is negative."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 _SHOWN_BITS = 10_000  # str() refuses ints past the interpreter's digit limit (4300 by default)
 
 
@@ -63,13 +69,14 @@ def require_cap(required: int, cap: int | None, default: int, what: str,
 
 def require_level_cap(n: int, count, cap: int | None, default: int, what: str,
                       level: int | None = None) -> int:
-    """:func:`require_cap` for ``count()``, a need over occurrence number ``n``; returns it.
+    """:func:`require_cap` for ``count()``, a need over occurrence number ``n >= 0``; returns it.
 
     Every level size, tuple family ``M(n, k, p)`` and level cell count is at
     least ``2**(n-1)`` for ``n >= 1``.  When that bound alone exceeds the cap
     and is too large to print (``n > 10000``), the need is refused before
     ``count()`` runs, and the error holds ``required=None``.
     """
+    check_nonnegative(n, "occurrence number")
     if cap is None:
         cap = default
     check_int(cap, "cap", 0)

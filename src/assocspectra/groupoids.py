@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, SchemaError, check_int, require_cap, require_level_cap
+from .errors import (CapExceededError, SchemaError, check_int, check_nonnegative, require_cap,
+                     require_level_cap)
 from .insertion import catalan
 from .spectra import Partition, SpectrumPrefix, _depths, _group_rows, _level_rows, verify_closed
 from .terms import (
@@ -225,7 +226,7 @@ def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
                max_count: int | None = None) -> Partition:
     """Partition level ``n`` by equality of induced term functions."""
     _require_level(g, n, max_cells, max_count)
-    return list(fine_spectrum(g, n, max_cells=max_cells, max_count=max_count))[-1]
+    return Partition._from_ids(n, g.arity, list(_walk(g, n))[-1][0])
 
 
 _P = 2**31 - 1  # moments are taken mod this prime
@@ -595,8 +596,7 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+    check_nonnegative(level, "level")
     if level >= truncation:
         raise ValueError(f"level {level} needs a truncation degree above it, got {truncation}")
     count = _level_size(level, 2, max_count)

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParseError, check_int, require_level_cap
+from .errors import ParseError, check_int, check_nonnegative, require_level_cap
 from .terms import _W, _X, DEFAULT_MAX_BRACKETINGS, Bracketing, _parse_prefix, _word_of
 
 
@@ -142,8 +142,7 @@ def _iter_m(n: int, k: int, p: int) -> Iterator[tuple[int, ...]]:
 
 
 def _check_mkp_args(n: int, k: int, p: int) -> None:
-    if n < 0:
-        raise ValueError(f"tuple length must be nonnegative, got {n}")
+    check_nonnegative(n, "tuple length")
     if k < 1:
         raise ValueError(f"bound offset must be positive, got {k}")
     check_int(p, "arity", 2)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, _show
+from .errors import ParseError, _show, check_nonnegative
 from .insertion import (
     _check_member,
     _tuple_columns,
@@ -215,8 +215,7 @@ class SpectrumPrefix:
 
 def build_prefix(level_fn: Callable[[int], Partition], max_n: int) -> SpectrumPrefix:
     """Assemble the levels 0..max_n from a per-level partition builder."""
-    if max_n < 0:
-        raise ValueError(f"horizon must be nonnegative, got {max_n}")
+    check_nonnegative(max_n, "horizon")
     return SpectrumPrefix([level_fn(n) for n in range(max_n + 1)])
 
 

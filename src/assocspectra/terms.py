@@ -6,19 +6,13 @@ number counts operation symbols, its length counts variable symbols, and
 ``length == (p - 1) * occ + 1`` always holds.
 
 Each level (all bracketings of one occurrence number) is enumerated in a
-canonical order: lexicographic on prefix words with ``w`` sorting before
-``x``.  This coincides with lexicographic order on insertion tuples, since
-the first differing prefix symbol puts the next operation symbol after
-strictly fewer variables on the ``w`` side.  This module alone stores a
-level: ``_level`` keeps it as a read-only ``uint8`` array of prefix words,
-one row per rank, unranked with the ballot table ``_completions`` that also
-ranks words.  Trees are built only on request (:func:`enumerate_bracketings`,
-parsing).  ``_fold`` is the one prefix-word decoder; only a tree asked for
-its word, or parsed or enumerated, caches it.  Text leaves a level as row
-chunks: the prefix rows are the word array itself, and the binary infix
-rows (3n+1 bytes each) are copied together from the lower levels' infix
-rows along the canonical order (:func:`_infix_rows`); :func:`_infix`
-renders a single word.
+canonical order: lexicographic on prefix words with ``w`` before ``x``,
+which is also lexicographic on insertion tuples.  Only ``_level`` stores a
+level, as a read-only ``uint8`` array of prefix words, one row per rank;
+the ballot table ``_completions`` ranks and unranks words.  The canonical
+order of the lower trees (``_orders``) gives each level's child ranks
+(``_children``) and the runs of its binary infix rows (:func:`_infix_rows`).
+Trees are built only on request, and ``_fold`` is the one word decoder.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParseError, check_int, require_cap, require_level_cap
+from .errors import ParseError, check_int, check_nonnegative, require_cap, require_level_cap
 
 DEFAULT_MAX_BRACKETINGS = 10**6
 _W, _X = ord("w"), ord("x")  # the symbols' bytes in a word array
@@ -241,76 +235,81 @@ def _level(n: int, p: int) -> np.ndarray:
 def _children(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Ranks and levels of the children of every level-n bracketing, two ``(N, p)`` arrays.
 
-    After position ``i`` a word still needs ``p * W[i] - i`` trees, ``W[i]``
-    counting its operation symbols up to ``i``; child ``c`` ends where that
-    need first falls to ``p - c``.  A child's rank is the sum of the table
-    entries of its variables, row and column taken relative to the child's
-    end: ``[end - i, W[end] - W[i]]``.
+    Level n lists its nodes by first child, over the trees up to level n-1 in
+    canonical order (:func:`_orders`), then by the rest.  A rank picks each
+    child by the running counts of the forests that the trees head (forests
+    of j trees of total t number ``count_m(t, j, p)``), and keeps what is left.
     """
-    words = _level(n, p)
-    table = _completions(n - 1, p)
-    cols, flat = table.shape[1], table.ravel()
-    length = words.shape[1]
-    ranks = np.empty((len(words), p), np.intp)
-    levels = np.empty((len(words), p), np.intp)
-    pos = np.arange(length, dtype=np.int32)  # every table index fits: the table is allocated
-    for lo, chunk in _row_chunks(words):
-        # in-place steps keep a chunk's temporaries few (see the ring check's memory test)
-        isx = chunk == _X
-        ops = np.cumsum(~isx, axis=1, dtype=np.int32)
-        low = ops * p
-        low -= pos
-        np.minimum.accumulate(low, axis=1, out=low)
-        ends = np.nonzero(low[:, 1:] < low[:, :-1])[1].reshape(-1, p).astype(np.int32) + 1
-        ops_end = np.take_along_axis(ops, ends, axis=1)
-        child = np.subtract(p, low, out=low)[:, :-1]  # of each position from 1 on
-        index = np.take_along_axis(ends * cols + ops_end, child, axis=1)
-        ops += pos * cols
-        index -= ops[:, 1:]
-        index[~isx[:, 1:]] = cols - 2  # a zero cell
-        # a row's child ranks sum to less than the level size, so the table dtype holds them
-        sums = np.cumsum(flat[index], axis=1, dtype=table.dtype)
-        hi = lo + len(chunk)
-        ranks[lo:hi] = np.diff(np.take_along_axis(sums, ends - 1, axis=1), axis=1, prepend=0)
-        levels[lo:hi] = np.diff(ops_end, axis=1, prepend=1)
+    from .insertion import catalan, count_m  # insertion imports this module
+
+    ranks = np.zeros((catalan(n, p), p), np.intp)
+    levels = np.zeros_like(ranks)
+    orders = _orders(n - 1, p)
+    # the trees up to each total t, a block per t: the total each leaves, its rank in its level
+    left = np.concatenate([t - order for t, order in enumerate(orders)])
+    in_level = np.concatenate([_in_level(order) for order in orders])
+    starts = np.cumsum([0] + [len(order) for order in orders[:-1]])
+    rank = np.arange(len(ranks))  # each row's rank among the forests of its rest
+    rest = np.full(len(ranks), n - 1)  # the total of each row's rest
+    for i in range(p - 1):
+        if not rest.any():  # every rest is all variables
+            break
+        heads = np.array([count_m(t, p - 1 - i, p) for t in range(n)], np.int64)
+        run = np.zeros(len(left) + 1, np.int64)  # forests after child i, counted up over heads
+        np.cumsum(heads[left], out=run[1:])
+        rank += run[starts[rest]]
+        child = np.searchsorted(run, rank, "right") - 1
+        rank -= run[child]
+        ranks[:, i] = in_level[child]
+        child = left[child]  # the rest's total; in-place steps keep two row temporaries at most
+        rest -= child
+        levels[:, i] = rest
+        rest = child
+    ranks[:, -1] = rank
+    levels[:, -1] = rest
     return ranks, levels
 
 
-def _first_child_levels(n: int) -> np.ndarray:
-    """Levels of the first children of binary level ``n``, one per run of rows sharing it.
+def _orders(top: int, p: int) -> list[np.ndarray]:
+    """Levels of the trees of occurrence number <= t in canonical order, for t = 0..top.
 
-    Level n lists the nodes ``(L, R)`` by ``L`` first, over the trees below
-    level n in canonical order, and for each ``L`` by ``R`` over level
-    ``n - 1 - |L|`` in rank order: prefix words are prefix-free, so the word
-    ``w L R`` compares as ``L`` first.  For the same reason the trees below
-    level k, in canonical order, are the nodes ``(L, R)`` with ``L`` below
-    level k-1 and ``R`` below level ``k - 1 - |L|``, then the variable.
+    Prefix words are prefix-free, so node words compare child by child: the
+    trees up to t are the nodes over the forests of p trees of total <= t-1,
+    then the variable.  A forest of j trees of total <= b is a first tree up
+    to b, then a forest of j-1 trees of total <= b minus that tree's level.
     """
-    below = [np.zeros(0, np.intp), np.zeros(1, np.intp)]  # levels of the trees below level k
-    for k in range(2, n + 1):
-        left = below[k - 1]
-        counts = np.array([len(b) for b in below])
-        rights = counts[k - 1 - left]  # right children of each left child
-        first = np.cumsum(counts) - counts  # where each below[j] starts in the concatenation
-        index = np.repeat(first[k - 1 - left] - np.cumsum(rights) + rights, rights)
-        index += np.arange(len(index))
-        below.append(np.append(np.concatenate(below)[index] + np.repeat(left + 1, rights), 0))
-    return below[n]
+    orders, forests = [np.zeros(1, np.intp)], []
+    for b in range(top):
+        heads = orders[b]
+        forests.append([heads])  # forests[b][j - 1]: the totals of the forests of j trees
+        for j in range(1, p):  # forests of j + 1 trees: a head, then j trees
+            tails = [forests[b - m][j - 1] for m in range(b + 1)]  # by the head's level m
+            sizes = np.array([len(f) for f in tails])
+            runs = sizes[heads]
+            index = np.repeat(np.cumsum(sizes)[heads] - np.cumsum(runs), runs)
+            index += np.arange(len(index))
+            forests[b].append(np.concatenate(tails)[index] + np.repeat(heads, runs))
+        orders.append(np.append(forests[b][-1] + 1, 0))
+    return orders
+
+
+def _in_level(order: np.ndarray) -> np.ndarray:
+    """The rank of each tree in its level, for levels of trees listed in canonical order."""
+    rank = np.empty_like(order)
+    for m, count in enumerate(np.bincount(order).tolist()):
+        rank[order == m] = np.arange(count)
+    return rank
 
 
 def _infix_chunks(n: int, texts: list[np.ndarray]):
     """``(first rank, rows)`` chunks of the infix rows of binary level ``n >= 1``.
 
-    ``texts[m]`` holds the rows of every level m below n.  A row is
-    ``"(" + infix(L) + infix(R) + ")"``, 3n+1 bytes, with ``L`` and ``R``
-    found through :func:`_first_child_levels`: the left children of one
-    level appear in rank order among the runs, so a left child's rank counts
-    the runs of its level before it, and ``R`` runs through its level.
+    ``texts[m]`` holds the rows of every level m below n.  A row is ``"(" +
+    infix(L) + infix(R) + ")"``: one run per left child ``L``, in the order of
+    :func:`_orders`, with ``R`` running through level ``n - 1 - |L|``.
     """
-    left = _first_child_levels(n)
-    rank = np.empty_like(left)
-    for m in range(n):
-        rank[left == m] = np.arange(len(texts[m]))
+    left = _orders(n - 1, 2)[n - 1]
+    rank = _in_level(left)
     runs = np.array([len(t) for t in texts])[n - 1 - left]
     starts = np.cumsum(runs) - runs
     width, size = 3 * n + 1, int(runs.sum())
@@ -355,8 +354,6 @@ def _level_size(n: int, p: int, max_count: int | None) -> int:
     table are allocated.
     """
     check_int(p, "arity", 2)
-    if n < 0:
-        raise ValueError(f"occurrence number must be nonnegative, got {n}")
     from .insertion import catalan  # insertion imports this module
 
     count = require_level_cap(n, lambda: catalan(n, p), max_count, DEFAULT_MAX_BRACKETINGS,
@@ -534,6 +531,5 @@ def left_right_depth(t: Bracketing) -> tuple[int, int]:
 def left_associated(n: int, p: int) -> Bracketing:
     """The bracketing whose prefix word is ``n`` operation symbols, then all variables."""
     check_int(p, "arity", 2)
-    if n < 0:
-        raise ValueError(f"occurrence number must be nonnegative, got {n}")
+    check_nonnegative(n, "occurrence number")
     return _parse_prefix("w" * n + "x" * ((p - 1) * n + 1), p)

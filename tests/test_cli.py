@@ -176,8 +176,12 @@ class TestSpectrum:
 
     def test_negative_horizon_is_a_usage_error(self, capsys, tmp_path):
         path = self.write(tmp_path, a.dump_groupoid(a.gallery("egg4")))
-        code, out, err = run(capsys, "spectrum", path, "--max-n", "-1")
-        assert (code, out) == (2, "") and "horizon must be nonnegative, got -1" in err
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text(a.format_spectrum_prefix(a.build_prefix(a.tau, 3)), encoding="utf-8")
+        for argv in (["spectrum", path], ["verify", "--builtin", "sigma_a:000001"],
+                     ["verify", "--builtin", "dldr"], ["verify", "--file", str(sigma)]):
+            code, out, err = run(capsys, *argv, "--max-n", "-1")
+            assert (code, out) == (2, "") and "horizon must be nonnegative, got -1" in err
 
     def test_schema_error(self, capsys, tmp_path):
         path = self.write(tmp_path, {"p": 2, "size": 2, "table": [0, 0, 0]})

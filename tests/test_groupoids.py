@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import assocspectra as a
-from assocspectra import groupoids
+from assocspectra import groupoids, terms
 from assocspectra import CapExceededError, Groupoid, Partition, SchemaError, SpectrumPrefix
 
 EGG4_ROWS = [
@@ -335,6 +335,18 @@ class TestFineLevel:
             tracemalloc.stop()
         assert pi.num_classes == 113
         assert peak < 24 * 2**20
+
+    def test_walk_builds_no_word_array(self):
+        # the walker reads child ranks alone, which no word array is built for
+        terms._level.cache_clear()
+        assert a.fine_level(a.gallery("sheffer"), 8).num_classes == a.catalan(8, 2)
+        assert terms._level.cache_info().currsize == 0
+
+    def test_negative_level_is_refused_as_enumeration_refuses_it(self):
+        for refused in (lambda: a.fine_level(a.gallery("egg4"), -1),
+                        lambda: a.enumerate_bracketings(-1, 2)):
+            with pytest.raises(ValueError, match="occurrence number must be nonnegative, got -1"):
+                refused()
 
     def test_cap(self):
         with pytest.raises(CapExceededError) as exc:
@@ -730,6 +742,14 @@ class TestRingClosedFormCheck:
         for r, t in enumerate(trees):
             for trial in range(3):
                 assert tuple(got[r][trial].tolist()) == ring.eval_term(t, args[trial].tolist())
+
+    def test_builds_only_its_top_word_array(self):
+        # the mismatches and the depths read level 8's words; the lower levels need none
+        terms._level.cache_clear()
+        assert a.ring_closed_form_check(16, 8).ok
+        terms._level(8, 2)  # a hit: the one word array built is level 8's
+        info = terms._level.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
 
     def test_shared_store_stays_small(self):
         # every tree of levels 1..8 kept at all of its leaf offsets, one byte a residue

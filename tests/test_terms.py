@@ -150,6 +150,50 @@ def composed_level(n, p):
     return sorted(trees, key=a.render_bracketing)
 
 
+def children_by_ballot(n, p):
+    """Slow child-rank oracle: scan each level-n word with the ballot table.
+
+    After position ``i`` a word still needs ``p * W[i] - i`` trees, ``W[i]``
+    counting its operation symbols up to ``i``; child ``c`` ends where that
+    need first falls to ``p - c``.  A child's rank is the sum of the table
+    entries of its variables, row and column taken relative to the child's
+    end: ``[end - i, W[end] - W[i]]``.
+    """
+    words = terms._level(n, p)
+    table = terms._completions(n - 1, p)
+    cols, flat = table.shape[1], table.ravel()
+    length = words.shape[1]
+    ranks = np.empty((len(words), p), np.intp)
+    levels = np.empty((len(words), p), np.intp)
+    pos = np.arange(length, dtype=np.int32)  # every table index fits: the table is allocated
+    for lo, chunk in terms._row_chunks(words):
+        # in-place steps keep a chunk's temporaries few (see the ring check's memory test)
+        isx = chunk == terms._X
+        ops = np.cumsum(~isx, axis=1, dtype=np.int32)
+        low = ops * p
+        low -= pos
+        np.minimum.accumulate(low, axis=1, out=low)
+        ends = np.nonzero(low[:, 1:] < low[:, :-1])[1].reshape(-1, p).astype(np.int32) + 1
+        ops_end = np.take_along_axis(ops, ends, axis=1)
+        child = np.subtract(p, low, out=low)[:, :-1]  # of each position from 1 on
+        index = np.take_along_axis(ends * cols + ops_end, child, axis=1)
+        ops += pos * cols
+        index -= ops[:, 1:]
+        index[~isx[:, 1:]] = cols - 2  # a zero cell
+        # a row's child ranks sum to less than the level size, so the table dtype holds them
+        sums = np.cumsum(flat[index], axis=1, dtype=table.dtype)
+        hi = lo + len(chunk)
+        ranks[lo:hi] = np.diff(np.take_along_axis(sums, ends - 1, axis=1), axis=1, prepend=0)
+        levels[lo:hi] = np.diff(ops_end, axis=1, prepend=1)
+    return ranks, levels
+
+
+def assert_children_by_ballot(n, p):
+    got, want = terms._children(n, p), children_by_ballot(n, p)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestWordArray:
     @pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (4, 5), (5, 4)])
     def test_unranked_level_is_the_composed_level(self, p, top):
@@ -166,6 +210,24 @@ class TestWordArray:
                     for t in composed_level(n, p)]
             assert np.stack([levels, ranks], axis=2).tolist() == [
                 [list(pair) for pair in kids] for kids in want]
+
+    @given(st.data())
+    def test_child_ranks_match_the_ballot_scan(self, data):
+        p = data.draw(st.integers(2, 6))
+        top = max(n for n in range(1, 12) if a.catalan(n, p) <= 20_000)
+        assert_children_by_ballot(data.draw(st.integers(1, top)), p)
+
+    @pytest.mark.parametrize("p,n", [(12, 3), (40, 3), (63, 3), (300, 2), (10**6, 1)])
+    def test_wide_child_ranks_match_the_ballot_scan(self, p, n):
+        assert_children_by_ballot(n, p)
+
+    @pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (4, 4), (5, 3)])
+    def test_orders_sort_the_words_up_to_each_level(self, p, top):
+        orders = terms._orders(top, p)
+        assert len(orders) == top + 1
+        for t, order in enumerate(orders):
+            words = sorted(w for m in range(t + 1) for w in terms._texts(terms._level(m, p)))
+            assert order.tolist() == [w.count("w") for w in words]
 
     @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 4)])
     def test_enumerated_trees_are_the_interned_composed_trees(self, p, top):
@@ -211,7 +273,7 @@ class TestInfixRows:
         for n in range(1, 9):
             ranks, levels = terms._children(n, 2)
             runs = np.flatnonzero(ranks[:, 1] == 0)  # a run starts at its first right child
-            assert np.array_equal(terms._first_child_levels(n), levels[runs, 0])
+            assert np.array_equal(terms._orders(n - 1, 2)[n - 1], levels[runs, 0])
 
 
 class TestParseRender:
