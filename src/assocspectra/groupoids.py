@@ -2,10 +2,13 @@
 
 Term functions are tabulated densely with numpy, a node's table being its
 children's tables outer-indexed into the operation table.  Fine levels are
-classified by keys, the distinct tuples of child classes.  A key's moment,
-computed from its children's moments alone, is equal for equal tables, so a
-key whose moment no other key of its level shares starts a new class with no
-table built; tables are gathered only to confirm merges.
+classified by keys, the distinct tuples of child classes.  A fine spectrum is
+closed, so the ``beta_j`` images of one lower class force their keys into one
+class: those keys are joined first, and each union is classified by its least
+key.  A key's moment, computed from its children's moments alone, is equal for
+equal tables, so a union whose moment no other union of its level shares
+starts a new class with no table built; tables are gathered only to confirm
+merges.
 """
 
 from __future__ import annotations
@@ -20,15 +23,17 @@ import numpy as np
 from .errors import (CapExceededError, SchemaError, check_int, check_nonnegative, require_cap,
                      require_level_cap)
 from .insertion import catalan
-from .spectra import Partition, SpectrumPrefix, _depths, _group_rows, _level_rows, verify_closed
+from .spectra import (Partition, SpectrumPrefix, _components, _depths, _group_rows, _images,
+                      _level_rows, verify_closed)
 from .terms import (
     _CHUNK_CELLS,
     Bracketing,
-    _children,
+    _children_up_to,
     _fold,
     _level,
     _level_size,
     _texts,
+    _unrank,
     _word_of,
     enumerate_bracketings,
     node,
@@ -238,10 +243,13 @@ def _walk(g: Groupoid, top: int):
     The moment at offset ``k`` of a function ``T`` is ``M_k[z] = sum of prod_v
     r[k + v, x_v] over the x with T(x) = z``, mod P, for fixed weights
     ``r[v, a]`` in ``[1, P)`` (level 0's moments); a level-n class takes the
-    offsets ``0..(p-1)*(top-n)`` from its first key.  Keys that share their
-    offset-0 moment are compared by tables, gathered from class tables that
-    are built when first needed and kept.  A level yields ``(N,)`` class ids
-    counted up by first appearance and ``(classes, offsets, size)`` moments.
+    offsets ``0..(p-1)*(top-n)`` from its first key.  The keys that closure
+    forces together are joined first (:func:`_forced_unions`), and each union
+    is classified by its least key alone.  Union representatives that share
+    their offset-0 moment are compared by tables, gathered from class tables
+    that are built when first needed and kept.  A level yields ``(N,)`` class
+    ids counted up by first appearance and ``(classes, offsets, size)``
+    moments.
     """
     if top < 0:
         return
@@ -260,37 +268,65 @@ def _walk(g: Groupoid, top: int):
         return tables[first_keys[c]]
 
     class_ids, start = np.zeros(1, np.intp), [0]  # of each bracketing below; each level's start
-    for n in range(1, top + 1):
-        ranks, levels = _children(n, p)
+    below = None  # the level below's key of each bracketing and class of each key
+    for n, (ranks, levels) in enumerate(_children_up_to(top, p), 1):
         keys, which = _group_rows(class_ids[np.array(start)[levels] + ranks])
+        label = (_forced_unions(n, p, *below, which, len(keys)) if below
+                 else np.arange(len(keys)))
+        reps = np.flatnonzero(label == np.arange(len(keys)))  # each union's least key
         offsets = (p - 1) * (top - n) + 1
-        moments = _moments(op, flat, row[keys], length[keys], offsets)
+        moments = _moments(op, flat, row[keys[reps]], length[keys[reps]], offsets)
         group = _group_rows(moments[:, 0])[1]
         shared = np.flatnonzero(np.bincount(group)[group] > 1)
         shared = shared[np.argsort(group[shared], kind="stable")]  # by moment, then by key
-        children = {c: table(c) for c in np.unique(keys[shared]).tolist()}
-        sub = np.zeros(len(keys), np.intp)  # which distinct table of its moment a key has
+        children = {c: table(c) for c in np.unique(keys[reps[shared]]).tolist()}
+        sub = np.zeros(len(reps), np.intp)  # which distinct table of its moment a union has
         for _, run in itertools.groupby(shared.tolist(), group.__getitem__):
-            reps = []
+            distinct = []
             for k in run:
-                key = tuple(keys[k].tolist())
+                key = tuple(keys[reps[k]].tolist())
                 values = _gather(op, [children[c] for c in key])
-                sub[k] = next((i for i, rep in enumerate(reps) if np.array_equal(values, rep)),
-                              len(reps))
-                if sub[k] == len(reps):
-                    reps.append(values)
+                sub[k] = next((i for i, rep in enumerate(distinct)
+                               if np.array_equal(values, rep)), len(distinct))
+                if sub[k] == len(distinct):
+                    distinct.append(values)
                     if n < top:  # the first key of a class: keep its table
                         tables[key] = values
-        key_class = _group_rows(np.stack([group, sub], axis=1))[1]
-        firsts = np.unique(key_class, return_index=True)[1]
+        rep_class = _group_rows(np.stack([group, sub], axis=1))[1] if sub.any() else group
+        key_class = rep_class[np.searchsorted(reps, label)]
+        firsts = np.unique(rep_class, return_index=True)[1]
         yield key_class[which], moments[firsts]
         if n < top:
+            below = which, key_class
             start.append(len(class_ids))
             class_ids = np.concatenate([class_ids, len(row) + key_class[which]])
-            first_keys += map(tuple, keys[firsts].tolist())
+            first_keys += map(tuple, keys[reps[firsts]].tolist())
             row = np.concatenate([row, len(flat) + offsets * np.arange(len(firsts))])
             length = np.concatenate([length, np.full(len(firsts), (p - 1) * n + 1)])
             flat = np.concatenate([flat, moments[firsts].reshape(-1, g.size)])
+
+
+def _forced_unions(n: int, p: int, below_which: np.ndarray, below_class: np.ndarray,
+                   which: np.ndarray, size: int) -> np.ndarray:
+    """The least key of each level-n key's union, joining the keys that closure forces together.
+
+    A fine spectrum is closed: equal level-(n-1) functions have equal
+    ``beta_j`` images.  The key of an image depends only on the key of its
+    argument, so each level-(n-1) key of a class with several keys is
+    represented by its first bracketing, whose ``beta_j`` images are ranked
+    in level n (``spectra._images``).  Each image's key is joined to the
+    image's key of its class's first key, operator by operator.  ``gamma_i``
+    images of one class share one key and add nothing.
+    """
+    several = np.flatnonzero(np.bincount(below_class)[below_class] > 1)
+    if not len(several):
+        return np.arange(size)
+    ranks = np.unique(below_which, return_index=True)[1][several]
+    images = which[_images(_unrank(ranks, n - 1, p), ranks, n - 1, p)[:, p:]]
+    # each class's first key, which comes first in `several`
+    first, inverse = np.unique(below_class[several], return_index=True, return_inverse=True)[1:]
+    anchor = first[inverse.reshape(-1)]
+    return _components(size, images[anchor].ravel(), images.ravel())
 
 
 def _moments(op: np.ndarray, flat: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
@@ -638,9 +674,8 @@ def _ring_level(args: np.ndarray, level: int):
         yield np.zeros(1, np.intp), args[None, :, 0]
         return
     below = [args[None]]  # per level: values at leaf offsets 0..level-m
-    for m in range(1, level + 1):
+    for m, (ranks, levels) in enumerate(_children_up_to(level, 2), 1):
         offsets = level - m + 1
-        ranks, levels = _children(m, 2)
         if m < level:
             kept = np.empty((len(ranks), args.shape[0], offsets, args.shape[2]), args.dtype)
             below.append(kept)

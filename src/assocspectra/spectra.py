@@ -256,17 +256,17 @@ def beta(t: Bracketing, i: int) -> Bracketing:
     return out
 
 
-def _images(words: np.ndarray, first: int, n: int, p: int) -> np.ndarray:
-    """Level-(n+1) ranks of the operator images of consecutive level-n words.
+def _images(words: np.ndarray, ranks: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Level-(n+1) ranks of the operator images of level-n words.
 
-    ``words`` are the word-array rows of ranks ``first, first + 1, ...``; the
+    ``words`` are word-array rows and ``ranks`` their ranks in level n; the
     columns are ``gamma_1..gamma_p``, then ``beta_1..beta_{(p-1)n+1}``.
     """
     table = _completions(n, p)
     cols = table.shape[1]
     flat = table.ravel()
     isx, index = _word_index(words, n, cols)
-    ranks = np.arange(first, first + len(words), dtype=table.dtype)
+    ranks = np.asarray(ranks, table.dtype)
     out = np.empty((len(words), (p - 1) * n + 1 + p), table.dtype)
     # gamma_{i+1} writes "w x^i" before the word and "x^(p-1-i)" after it:
     # the head's variables count head[i], the trailing ones nothing, and the
@@ -341,7 +341,7 @@ def delta(pi: Partition) -> Partition:
     words = _level(n, p)
     images = np.empty((len(words), (p - 1) * n + 1 + p), _completions(n, p).dtype)
     for lo, rows in _row_chunks(words):
-        images[lo:lo + len(rows)] = _images(rows, lo, n, p)
+        images[lo:lo + len(rows)] = _images(rows, np.arange(lo, lo + len(rows)), n, p)
     if images.min() < 0 or images.max() >= size:
         raise AssertionError(f"an operator image is ranked outside level {n + 1}")
     hit = np.zeros(size, bool)

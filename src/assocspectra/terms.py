@@ -240,34 +240,51 @@ def _children(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     child by the running counts of the forests that the trees head (forests
     of j trees of total t number ``count_m(t, j, p)``), and keeps what is left.
     """
+    return next(_children_up_to(n, p, n))
+
+
+def _children_up_to(top: int, p: int, first: int = 1):
+    """Yield :func:`_children` of the levels ``first..top``, deriving the lower trees once.
+
+    The blocks of :func:`_orders` do not depend on ``top``, and a level reads
+    the running forest counts of a child position only up to its own blocks,
+    so each position's counts are summed once, when a level first reaches it.
+    """
     from .insertion import catalan, count_m  # insertion imports this module
 
-    ranks = np.zeros((catalan(n, p), p), np.intp)
-    levels = np.zeros_like(ranks)
-    orders = _orders(n - 1, p)
+    orders = _orders(top - 1, p)
     # the trees up to each total t, a block per t: the total each leaves, its rank in its level
     left = np.concatenate([t - order for t, order in enumerate(orders)])
     in_level = np.concatenate([_in_level(order) for order in orders])
     starts = np.cumsum([0] + [len(order) for order in orders[:-1]])
-    rank = np.arange(len(ranks))  # each row's rank among the forests of its rest
-    rest = np.full(len(ranks), n - 1)  # the total of each row's rest
-    for i in range(p - 1):
-        if not rest.any():  # every rest is all variables
-            break
-        heads = np.array([count_m(t, p - 1 - i, p) for t in range(n)], np.int64)
-        run = np.zeros(len(left) + 1, np.int64)  # forests after child i, counted up over heads
-        np.cumsum(heads[left], out=run[1:])
-        rank += run[starts[rest]]
-        child = np.searchsorted(run, rank, "right") - 1
-        rank -= run[child]
-        ranks[:, i] = in_level[child]
-        child = left[child]  # the rest's total; in-place steps keep two row temporaries at most
-        rest -= child
-        levels[:, i] = rest
-        rest = child
-    ranks[:, -1] = rank
-    levels[:, -1] = rest
-    return ranks, levels
+    runs = []  # per child position i: the forests after child i, counted up over the trees
+
+    def level(n: int) -> tuple[np.ndarray, np.ndarray]:
+        ranks = np.zeros((catalan(n, p), p), np.intp)
+        levels = np.zeros_like(ranks)
+        rank = np.arange(len(ranks))  # each row's rank among the forests of its rest
+        rest = np.full(len(ranks), n - 1)  # the total of each row's rest
+        for i in range(p - 1):
+            if not rest.any():  # every rest is all variables
+                break
+            if i == len(runs):
+                heads = np.array([count_m(t, p - 1 - i, p) for t in range(top)], np.int64)
+                runs.append(np.zeros(len(left) + 1, np.int64))
+                np.cumsum(heads[left], out=runs[i][1:])
+            rank += runs[i][starts[rest]]
+            child = np.searchsorted(runs[i], rank, "right") - 1
+            rank -= runs[i][child]
+            ranks[:, i] = in_level[child]
+            child = left[child]  # the rest's total; in-place steps keep two row temporaries
+            rest -= child
+            levels[:, i] = rest
+            rest = child
+        ranks[:, -1] = rank
+        levels[:, -1] = rest
+        return ranks, levels
+
+    for n in range(first, top + 1):
+        yield level(n)  # its temporaries are gone while a caller works on the level
 
 
 def _orders(top: int, p: int) -> list[np.ndarray]:

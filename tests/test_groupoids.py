@@ -257,6 +257,34 @@ def collided_moments():
                              np.zeros((len(rows), offsets, op.shape[0]), np.int64))
 
 
+@st.composite
+def small_groupoids(draw):
+    p = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(1, 3))
+    table = draw(st.lists(st.integers(0, size - 1), min_size=size ** p, max_size=size ** p))
+    return Groupoid(p, size, table)
+
+
+def no_unions():
+    """Patch the walker so that closure forces no keys together."""
+    return mock.patch.object(groupoids, "_forced_unions",
+                             lambda n, p, below_which, below_class, which, size: np.arange(size))
+
+
+def count_gathers(run):
+    """The number of tables that ``run()`` gathers."""
+    calls = []
+    gather = groupoids._gather
+
+    def counted(*args):
+        calls.append(1)
+        return gather(*args)
+
+    with mock.patch.object(groupoids, "_gather", counted):
+        run()
+    return len(calls)
+
+
 class TestFineLevel:
     def test_levels_zero_and_one_are_trivial(self):
         for g in (a.gallery("egg4"), a.gallery("sheffer"), a.gallery("polyk", k=2)):
@@ -411,22 +439,14 @@ class TestFineSpectrum:
 
     def test_spectrum_tabulates_as_often_as_its_top_level(self):
         # the per-level loop re-walked levels 1..n-1 for every n: 474 gathers;
-        # gathering every key once took 264, and moments leave the keys whose
-        # moment another key shares, with the class tables that they read
+        # gathering every key once took 264, moments left the 222 keys whose
+        # moment another key shares, with the class tables that they read, and
+        # the unions that closure forces leave the representatives of one union
+        # per class whose moment another representative shares
         g = a.gallery("polyk", k=3)
-        calls = []
-        gather = groupoids._gather
-
-        def counted(*args):
-            calls.append(1)
-            return gather(*args)
-
-        with mock.patch.object(groupoids, "_gather", counted):
-            assert a.assoc_spectrum(g, 7) == [1, 1, 2, 4, 8, 15, 26, 42]
-            spectrum_calls = len(calls)
-            calls.clear()
-            a.fine_level(g, 7)
-        assert spectrum_calls == len(calls) == 222
+        assert a.assoc_spectrum(g, 7) == [1, 1, 2, 4, 8, 15, 26, 42]
+        spectrum_calls = count_gathers(lambda: a.assoc_spectrum(g, 7))
+        assert spectrum_calls == count_gathers(lambda: a.fine_level(g, 7)) == 11
 
     def test_highest_admitted_level_keeps_no_table_per_class(self):
         # level 7 is over the cell cap, so level 6 is the top: without the
@@ -486,6 +506,71 @@ class TestMoments:
             tracemalloc.stop()
         assert pi.num_classes == 12
         assert peak < 2 ** 23
+
+
+class TestForcedUnions:
+    @settings(max_examples=40, deadline=None)
+    @given(small_groupoids(), st.integers(1, 5))
+    def test_closure_pushes_each_fine_level_into_the_next(self, g, n):
+        # the fact that the unions rest on: a fine spectrum is closed
+        assert a.delta(a.fine_level(g, n - 1)).refines(a.fine_level(g, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groupoids(), st.integers(2, 5))
+    def test_unions_lie_between_delta_and_the_fine_level(self, g, top):
+        # every union holds every pair that delta pushes up from the level
+        # below and stays inside one class of the walk without unions
+        with no_unions():
+            levels = list(a.fine_spectrum(g, top))
+        seen = []
+        forced = groupoids._forced_unions
+
+        def spied(n, p, below_which, below_class, which, size):
+            label = forced(n, p, below_which, below_class, which, size)
+            seen.append(Partition(n, p, label[which].tolist()))
+            return label
+
+        with mock.patch.object(groupoids, "_forced_unions", spied):
+            assert list(a.fine_spectrum(g, top)) == levels
+        assert [pi.level for pi in seen] == list(range(2, top + 1))
+        for pi in seen:
+            assert a.delta(levels[pi.level - 1]).refines(pi)
+            assert pi.refines(levels[pi.level])
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groupoids(), st.integers(0, 5))
+    def test_no_unions_give_the_same_partitions(self, g, top):
+        walked = list(a.fine_spectrum(g, top))
+        with no_unions():
+            assert list(a.fine_spectrum(g, top)) == walked
+
+    @pytest.mark.parametrize("name, params, n", [
+        ("polyk", {"k": 3}, 7), ("egg4", {}, 7), ("const_assoc", {"m": 3}, 8), ("egg7", {}, 5)])
+    def test_gallery_without_unions_gives_the_same_partitions(self, name, params, n):
+        g = a.gallery(name, **params)
+        walked = list(a.fine_spectrum(g, n))
+        with no_unions():
+            assert list(a.fine_spectrum(g, n)) == walked
+
+    def test_wide_arity_gathers_once_per_union(self):
+        # every key of every level merges; without the unions each of the 861
+        # keys of level 3 that shares the one moment was gathered
+        g = Groupoid(40, 1, [0])
+        assert count_gathers(lambda: a.fine_level(g, 3)) <= 41
+        assert a.fine_level(g, 3).num_classes == 1
+
+    def test_reach_with_the_cell_cap_lifted(self):
+        # without the unions level 9 takes seconds and about 240 MiB of RSS
+        g = a.gallery("polyk", k=3)
+        tracemalloc.start()
+        try:
+            counts = a.assoc_spectrum(g, 9, max_cells=10**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [sum(math.comb(n - 1, i) for i in range(4)) if n else 1
+                          for n in range(10)]
+        assert peak < 64 * 2**20
 
 
 class TestAssocSpectrum:

@@ -237,7 +237,10 @@ class TestDelta:
         want = [[rank["w" + xs[:i] + w + xs[i:]] for i in range(p)]
                 + [rank[w[:j] + "w" + xs + w[j:]] for j, ch in enumerate(w) if ch == "x"]
                 for w in words]
-        assert spectra._images(words_of(a.enumerate_bracketings(n, p)), 0, n, p).tolist() == want
+        rows, ranks = words_of(a.enumerate_bracketings(n, p)), np.arange(len(words))
+        assert spectra._images(rows, ranks, n, p).tolist() == want
+        # the ranks need not run consecutively
+        assert spectra._images(rows[::-1], ranks[::-1], n, p).tolist() == want[::-1]
 
     @pytest.mark.parametrize("p,n", [(2, 11), (3, 6), (4, 4), (6, 3)])
     def test_completion_table_matches_count_m(self, p, n):
