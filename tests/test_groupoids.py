@@ -516,7 +516,7 @@ class TestForcedUnions:
         assert a.delta(a.fine_level(g, n - 1)).refines(a.fine_level(g, n))
 
     @settings(max_examples=40, deadline=None)
-    @given(small_groupoids(), st.integers(2, 5))
+    @given(small_groupoids(), st.integers(0, 5))
     def test_unions_lie_between_delta_and_the_fine_level(self, g, top):
         # every union holds every pair that delta pushes up from the level
         # below and stays inside one class of the walk without unions
@@ -532,17 +532,10 @@ class TestForcedUnions:
 
         with mock.patch.object(groupoids, "_forced_unions", spied):
             assert list(a.fine_spectrum(g, top)) == levels
-        assert [pi.level for pi in seen] == list(range(2, top + 1))
+        assert [pi.level for pi in seen] == list(range(1, top + 1))
         for pi in seen:
             assert a.delta(levels[pi.level - 1]).refines(pi)
             assert pi.refines(levels[pi.level])
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_groupoids(), st.integers(0, 5))
-    def test_no_unions_give_the_same_partitions(self, g, top):
-        walked = list(a.fine_spectrum(g, top))
-        with no_unions():
-            assert list(a.fine_spectrum(g, top)) == walked
 
     @pytest.mark.parametrize("name, params, n", [
         ("polyk", {"k": 3}, 7), ("egg4", {}, 7), ("const_assoc", {"m": 3}, 8), ("egg7", {}, 5)])
