@@ -34,10 +34,7 @@ from .terms import (
     _level_size,
     _texts,
     _unrank,
-    _word_of,
     enumerate_bracketings,
-    node,
-    render_bracketing,
 )
 
 DEFAULT_MAX_CELLS = 2 * 10**8
@@ -152,7 +149,7 @@ def eval_term(g: Groupoid, t: Bracketing, args) -> int:
     bad = [a for a in args if not 0 <= a < g.size]
     if bad:
         raise ValueError(f"element {bad[0]!r} outside the carrier 0..{g.size - 1}")
-    return _fold(_word_of(t), t.arity, args.__getitem__, g.apply)
+    return _fold(t._word, t.arity, args.__getitem__, g.apply)
 
 
 class TermFunction:
@@ -194,7 +191,7 @@ def term_function(g: Groupoid, t: Bracketing, *, max_cells: int | None = None) -
         raise ValueError(f"bracketing arity {t.arity} does not match groupoid arity {g.arity}")
     require_cap(g.size ** t.length, max_cells, DEFAULT_MAX_CELLS, "term table needs {} cells")
     identity = np.arange(g.size, dtype=g._array.dtype)
-    values = _fold(_word_of(t), t.arity, lambda i: identity,
+    values = _fold(t._word, t.arity, lambda i: identity,
                    lambda *kids: g._array[np.ix_(*kids)].ravel())
     return TermFunction(t.occ, g.arity, g.size, values)
 
@@ -432,16 +429,16 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
     report = verify_closed(sigma)
     if not report.closed:
         raise ValueError(f"prefix is not closed (violation at level {report.level})")
-    representatives: list[Bracketing] = []
+    representatives: list[str] = []  # prefix words
     names: list[str] = []
-    element: dict[Bracketing, int] = {}  # every bracketing below the cut -> its class
+    element: dict[str, int] = {}  # word -> class below the cut; a word not listed is "*"
     for m in range(cut):
         base = len(representatives)
         for t, c in zip(enumerate_bracketings(m, p), sigma.partitions[m].class_of):
             if base + c == len(representatives):  # class ids count up by first appearance
-                representatives.append(t)
-                names.append(f"[{render_bracketing(t)}]")
-            element[t] = base + c
+                representatives.append(t._word)
+                names.append(f"[{t._word}]")
+            element[t._word] = base + c
     star = len(representatives)
     names.append("*")
     size = star + 1
@@ -450,8 +447,7 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
         if star in combo:
             table.append(star)
             continue
-        t = node(*(representatives[e] for e in combo))
-        table.append(star if t.occ >= cut else element[t])
+        table.append(element.get("w" + "".join(representatives[e] for e in combo), star))
     return Groupoid(p, size, table, names)
 
 
@@ -562,7 +558,7 @@ class TruncatedRing:
         args = [self.element(a) for a in args]
         if len(args) != t.length:
             raise ValueError(f"expected {t.length} arguments, got {len(args)}")
-        return tuple(_fold(_word_of(t), t.arity, np.array(args).__getitem__, _ring_op).tolist())
+        return tuple(_fold(t._word, t.arity, np.array(args).__getitem__, _ring_op).tolist())
 
     def __repr__(self):
         return f"TruncatedRing(truncation={self.truncation})"

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParseError, check_int, check_nonnegative, require_level_cap
-from .terms import _W, _X, DEFAULT_MAX_BRACKETINGS, Bracketing, _parse_prefix, _word_of
+from .terms import _W, _X, DEFAULT_MAX_BRACKETINGS, Bracketing, _intern
 
 
 def to_tuple(t: Bracketing) -> tuple[int, ...]:
@@ -31,7 +31,7 @@ def to_tuple(t: Bracketing) -> tuple[int, ...]:
     Read off the prefix word: entry ``i + 1`` exceeds entry ``i`` by the
     number of variables between the i-th and the next operation symbol.
     """
-    runs = _word_of(t).split("w")
+    runs = t._word.split("w")
     if len(runs) == 1:
         return ()
     return tuple(accumulate(map(len, runs[1:-1]), initial=1))
@@ -106,9 +106,10 @@ def from_tuple(u, p: int) -> Bracketing:
     """
     u = tuple(u)
     _check_member(u, p, 1)
+    check_int(p, "arity", 2)
     # the runs of variables between operation symbols, as to_tuple splits them
     bounds = (1, *u, (p - 1) * len(u) + 2)
-    return _parse_prefix("w".join("x" * (b - a) for a, b in zip(bounds, bounds[1:])), p)
+    return _intern(p, "w".join("x" * (b - a) for a, b in zip(bounds, bounds[1:])))
 
 
 def beta_update(u, i: int, p: int) -> tuple[int, ...]:
@@ -119,6 +120,8 @@ def beta_update(u, i: int, p: int) -> tuple[int, ...]:
     entries shift by ``p - 1`` new variables.
     """
     u = tuple(u)
+    _check_member(u, p, 1)
+    check_int(p, "arity", 2)
     n = len(u)
     if not 1 <= i <= (p - 1) * n + 1:
         raise ValueError(f"variable position {i} out of range 1..{(p - 1) * n + 1}")

@@ -46,13 +46,12 @@ from .terms import (
     _X,
     Bracketing,
     _completions,
+    _intern,
     _level,
     _level_size,
     _rank,
     _row_chunks,
     _word_index,
-    leaf,
-    node,
 )
 
 
@@ -223,37 +222,24 @@ def build_prefix(level_fn: Callable[[int], Partition], max_n: int) -> SpectrumPr
 # occurrence-raising operators
 
 def gamma(t: Bracketing, i: int, p: int | None = None) -> Bracketing:
-    """Wrap ``t`` as the i-th child of a fresh operation symbol, leaves elsewhere."""
+    """Wrap ``t`` as the i-th child of a fresh operation: ``"w" + "x"*(i-1) + word + "x"*(p-i)``."""
     if p is None:
         p = t.arity
     elif p != t.arity:
         raise ValueError(f"arity mismatch: bracketing has arity {t.arity}, requested {p}")
     if not 1 <= i <= p:
         raise ValueError(f"child position {i} out of range 1..{p}")
-    kids = [leaf(p)] * p
-    kids[i - 1] = t
-    return node(*kids)
+    return _intern(p, "w" + "x" * (i - 1) + t._word + "x" * (p - i))
 
 
 def beta(t: Bracketing, i: int) -> Bracketing:
-    """Replace the i-th variable of ``t`` (left to right) by a fresh operation on leaves."""
+    """Replace the i-th variable of ``t`` (its i-th ``x``) by a fresh operation: ``"w" + "x"*p``."""
     if not 1 <= i <= t.length:
         raise ValueError(f"variable position {i} out of range 1..{t.length}")
-    path: list[tuple[Bracketing, int]] = []  # each node above the variable, and the child taken
-    s = t
-    while not s.is_leaf:
-        for idx, c in enumerate(s.children):
-            if i <= c.length:
-                break
-            i -= c.length
-        else:
-            raise AssertionError("variable position fell off the children")
-        path.append((s, idx))
-        s = c
-    out = node(*(leaf(t.arity),) * t.arity)
-    for s, idx in reversed(path):
-        out = node(*s.children[:idx], out, *s.children[idx + 1:])
-    return out
+    word, at = t._word, -1
+    for _ in range(i):
+        at = word.index("x", at + 1)
+    return _intern(t.arity, word[:at] + "w" + "x" * t.arity + word[at + 1:])
 
 
 def _images(words: np.ndarray, ranks: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -327,7 +313,7 @@ def delta(pi: Partition) -> Partition:
     connected through operator images of related pairs.  ``gamma_i`` wraps
     a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and ``beta_j``
     replaces its j-th ``x`` by ``"w" + "x"*p``.  The level-n words are read
-        array's rows in chunks, and each image is ranked in level
+    from the level's word array in row chunks, and each image is ranked in level
     n+1 by arithmetic on the ballot table (``terms._completions``), so
     neither level n+1 nor any image word is built.  The first member of
     each class anchors it: every later member's images are paired with the

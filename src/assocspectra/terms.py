@@ -3,7 +3,9 @@
 A bracketing is a term built from one p-ary operation symbol (written ``w``
 in prefix notation) and one variable symbol (written ``x``).  Its occurrence
 number counts operation symbols, its length counts variable symbols, and
-``length == (p - 1) * occ + 1`` always holds.
+``length == (p - 1) * occ + 1`` always holds.  A :class:`Bracketing` is its
+arity and its prefix word, interned while it is alive; its children are cut
+from the word when asked for, and ``_fold`` is the one word decoder.
 
 Each level (all bracketings of one occurrence number) is enumerated in a
 canonical order: lexicographic on prefix words with ``w`` before ``x``,
@@ -11,13 +13,15 @@ which is also lexicographic on insertion tuples.  Only ``_level`` stores a
 level, as a read-only ``uint8`` array of prefix words, one row per rank;
 the ballot table ``_completions`` ranks and unranks words.  The canonical
 order of the lower trees (``_orders``) gives each level's child ranks
-(``_children``) and the runs of its binary infix rows (:func:`_infix_rows`).
-Trees are built only on request, and ``_fold`` is the one word decoder.
+(``_children_up_to``) and the runs of its binary infix rows
+(:func:`_infix_rows`).  Trees are built only on request, from a word alone.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, islice
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -30,51 +34,66 @@ _CHUNK_CELLS = 1 << 16
 
 
 class Bracketing:
-    """An immutable full p-ary tree; leaves are variables, inner nodes the operation.
+    """An immutable full p-ary tree, held as its arity and its prefix word.
 
-    Instances are interned through :func:`leaf` and :func:`node`, so
-    structurally equal trees are normally the same object and enumerated
-    levels share their substructure.
+    Instances are interned by ``(arity, word)`` (:func:`_intern`), so equal
+    trees that are alive at the same time are normally the same object.
     """
 
-    __slots__ = ("arity", "children", "occ", "length", "_hash", "_word")
+    __slots__ = ("arity", "occ", "length", "is_leaf", "_word", "__weakref__")
 
-    def __init__(self, arity: int, children: tuple["Bracketing", ...]):
+    def __init__(self, arity: int, word: str):
         self.arity = arity
-        self.children = children
-        self.occ = 1 + sum(c.occ for c in children) if children else 0
-        self.length = (arity - 1) * self.occ + 1
-        self._hash = hash((arity, children))
-        self._word = "x" if not children else None  # prefix word, filled lazily
+        self._word = word
+        self.occ = word.count("w")
+        self.length = len(word) - self.occ
+        self.is_leaf = not self.occ
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    def children(self) -> tuple["Bracketing", ...]:
+        """The subtrees under the root, left to right, cut from the word on each access.
+
+        An ``x`` ends a tree and a ``w`` opens ``p - 1`` more; after ``p - 1``
+        children the rest of the word is the last one.
+        """
+        word, p = self._word, self.arity
+        if word == "x":
+            return ()
+        cuts, need = [1], p  # the trees still to read after each symbol
+        for end, ch in enumerate(islice(word, 1, None), 2):
+            need += p - 1 if ch == "w" else -1
+            if need == p - len(cuts):  # the child that began at cuts[-1] ends here
+                cuts.append(end)
+                if len(cuts) == p:
+                    break
+        cuts.append(len(word))
+        return tuple(_intern(p, word[a:b]) for a, b in zip(cuts, cuts[1:]))
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Bracketing):
             return NotImplemented
-        return (self._hash == other._hash
-                and self.arity == other.arity
-                and self.children == other.children)
+        return self is other or (self.arity == other.arity and self._word == other._word)
 
     def __hash__(self):
-        return self._hash
+        return hash(self._word)
 
     def __repr__(self):
-        return f"Bracketing(p={self.arity}, {render_bracketing(self)!r})"
+        return f"Bracketing(p={self.arity}, {self._word!r})"
 
 
-@lru_cache(maxsize=None)
+# the live trees by (arity, word); a tree leaves when nothing else holds it
+_node_cache: WeakValueDictionary[tuple[int, str], Bracketing] = WeakValueDictionary()
+
+
+def _intern(p: int, word: str) -> Bracketing:
+    """The interned tree of arity ``p`` with prefix ``word``, unchecked: it must be a bracketing."""
+    return _node_cache.get((p, word)) or _node_cache.setdefault((p, word), Bracketing(p, word))
+
+
 def leaf(p: int) -> Bracketing:
     """The single-variable bracketing of arity ``p``."""
     check_int(p, "arity", 2)
-    return Bracketing(p, ())
-
-
-_node_cache: dict[tuple[Bracketing, ...], Bracketing] = {}
+    return _intern(p, "x")
 
 
 def node(*children: Bracketing) -> Bracketing:
@@ -87,26 +106,7 @@ def node(*children: Bracketing) -> Bracketing:
             raise TypeError(f"children must be bracketings, got {type(c).__name__}")
         if c.arity != p:
             raise ValueError(f"child of arity {c.arity} cannot sit under a {p}-ary node")
-    return _node_cache.get(children) or _join(children)
-
-
-def _join(children: tuple[Bracketing, ...]) -> Bracketing:
-    """The interned node over ``children``, unchecked: they must be ``p`` trees of arity ``p``."""
-    # one lookup, which suits a caller that mostly builds new nodes
-    return _node_cache.setdefault(children, Bracketing(len(children), children))
-
-
-def _word_of(t: Bracketing) -> str:
-    """Prefix word of ``t``, cached on ``t`` alone and built from the words its subtrees hold."""
-    if t._word is None:
-        parts, stack = [], [t]
-        while stack:
-            s = stack.pop()
-            parts.append(s._word or "w")
-            if s._word is None:
-                stack.extend(reversed(s.children))
-        t._word = "".join(parts)
-    return t._word
+    return _intern(p, "w" + "".join(c._word for c in children))
 
 
 def _fold(word: str, p: int, leaf, combine):
@@ -232,19 +232,13 @@ def _level(n: int, p: int) -> np.ndarray:
     return words
 
 
-def _children(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and levels of the children of every level-n bracketing, two ``(N, p)`` arrays.
+def _children_up_to(top: int, p: int):
+    """Yield the ranks and levels of the children of levels ``1..top``, two ``(N, p)`` arrays each.
 
     Level n lists its nodes by first child, over the trees up to level n-1 in
     canonical order (:func:`_orders`), then by the rest.  A rank picks each
     child by the running counts of the forests that the trees head (forests
     of j trees of total t number ``count_m(t, j, p)``), and keeps what is left.
-    """
-    return next(_children_up_to(n, p, n))
-
-
-def _children_up_to(top: int, p: int, first: int = 1):
-    """Yield :func:`_children` of the levels ``first..top``, deriving the lower trees once.
 
     The blocks of :func:`_orders` do not depend on ``top``, and a level reads
     the running forest counts of a child position only up to its own blocks,
@@ -283,7 +277,7 @@ def _children_up_to(top: int, p: int, first: int = 1):
         levels[:, -1] = rest
         return ranks, levels
 
-    for n in range(first, top + 1):
+    for n in range(1, top + 1):
         yield level(n)  # its temporaries are gone while a caller works on the level
 
 
@@ -383,17 +377,7 @@ def _level_size(n: int, p: int, max_count: int | None) -> int:
 def enumerate_bracketings(n: int, p: int, *, max_count: int | None = None) -> list[Bracketing]:
     """All bracketings with occurrence number ``n``, once each, in canonical order."""
     _level_size(n, p, max_count)
-    trees = [leaf(p)]  # levels 0..m, one after another
-    start = np.zeros(n + 1, np.intp)
-    for m in range(1, n + 1):
-        ranks, levels = _children(m, p)
-        start[m] = len(trees)
-        kids = [list(map(trees.__getitem__, c)) for c in (start[levels] + ranks).T.tolist()]
-        level = list(map(_join, zip(*kids)))
-        for t, word in zip(level, _texts(_level(m, p))):
-            t._word = word
-        trees += level
-    return trees[start[n]:]
+    return [_intern(p, word) for word in _texts(_level(n, p))]
 
 
 def parse_bracketing(text: str, p: int, format: str = "prefix") -> Bracketing:
@@ -416,10 +400,8 @@ def _parse_prefix(text: str, p: int) -> Bracketing:
     rest = text.lstrip("wx")
     if rest:
         raise ParseError(f"unexpected character {rest[0]!r} at position {len(text) - len(rest)}")
-    x = leaf(p)
-    t = _fold(text, p, lambda i: x, lambda *kids: _node_cache.get(kids) or _join(kids))
-    t._word = text
-    return t
+    _fold(text, p, lambda i: None, lambda *kids: None)  # raises unless one bracketing
+    return _intern(p, text)
 
 
 def _parse_infix(text: str) -> Bracketing:
@@ -437,11 +419,11 @@ def _parse_infix(text: str) -> Bracketing:
 def render_bracketing(t: Bracketing, format: str = "prefix") -> str:
     """Serialize ``t``; round-trips with :func:`parse_bracketing`."""
     if format == "prefix":
-        return _word_of(t)
+        return t._word
     if format == "infix":
         if t.arity != 2:
             raise ValueError("infix notation is only defined for binary bracketings")
-        return _infix(_word_of(t))
+        return _infix(t._word)
     raise ValueError(f"unknown format {format!r}; expected 'prefix' or 'infix'")
 
 
@@ -483,7 +465,7 @@ class LabeledBracketing:
     def render(self) -> str:
         labels = iter(self.labels())
         return "".join("w" if ch == "w" else f"x{next(labels)}"
-                       for ch in _word_of(self.bracketing))
+                       for ch in self.bracketing._word)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledBracketing):
@@ -528,25 +510,22 @@ def egg_pairs(t: Bracketing) -> int:
     """Number of subterm occurrences of the two-variable bracketing ``(xx)``."""
     if t.arity != 2:
         raise ValueError("egg pairs are only defined for binary bracketings")
-    return _word_of(t).count("wxx")  # an operation symbol over two variables
+    return t._word.count("wxx")  # an operation symbol over two variables
 
 
 def left_right_depth(t: Bracketing) -> tuple[int, int]:
     """Edge distances from the root to the leftmost and to the rightmost leaf."""
     if t.arity != 2:
         raise ValueError("left/right depths are only defined for binary bracketings")
-    word = _word_of(t)
+    word = t._word
     dl = len(word) - len(word.lstrip("w"))  # the leading operation symbols
-    dr = 0
-    s = t
-    while not s.is_leaf:
-        dr += 1
-        s = s.children[-1]
-    return dl, dr
+    # the right spine's operation symbols are those with one tree still to read
+    need = accumulate((1 if ch == "w" else -1 for ch in word), initial=1)
+    return dl, sum(ch == "w" and k == 1 for ch, k in zip(word, need))
 
 
 def left_associated(n: int, p: int) -> Bracketing:
     """The bracketing whose prefix word is ``n`` operation symbols, then all variables."""
     check_int(p, "arity", 2)
     check_nonnegative(n, "occurrence number")
-    return _parse_prefix("w" * n + "x" * ((p - 1) * n + 1), p)
+    return _intern(p, "w" * n + "x" * ((p - 1) * n + 1))

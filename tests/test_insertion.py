@@ -101,6 +101,13 @@ class TestBetaUpdate:
             a.beta_update((1,), 3, 2)
         with pytest.raises(ValueError):
             a.beta_update((1,), 0, 2)
+        # neither (3,) nor (2, 1) is an insertion tuple: a first entry is always 1
+        with pytest.raises(ValueError, match="outside 1..1"):
+            a.beta_update((3,), 1, 2)
+        with pytest.raises(ValueError, match="outside 1..1"):
+            a.beta_update((2, 1), 1, 2)
+        with pytest.raises(ValueError, match="arity"):
+            a.beta_update((1,), 1, 1)  # arity 1 has no bracketings
 
 
 class TestEnumerateM:

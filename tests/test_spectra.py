@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import assocspectra as a
 from assocspectra import (
+    Bracketing,
     CapExceededError,
     ParseError,
     Partition,
     SpectrumPrefix,
     insertion,
+    leaf,
+    node,
     spectra,
     terms,
 )
@@ -133,7 +136,59 @@ class TestPartition:
             Partition.full(3, 2, max_count=cap)
 
 
+# the operators as walks over children, oracles of the word edits gamma and beta
+
+def tree_gamma(t: Bracketing, i: int, p: int | None = None) -> Bracketing:
+    """Wrap ``t`` as the i-th child of a fresh operation symbol, leaves elsewhere."""
+    if p is None:
+        p = t.arity
+    elif p != t.arity:
+        raise ValueError(f"arity mismatch: bracketing has arity {t.arity}, requested {p}")
+    if not 1 <= i <= p:
+        raise ValueError(f"child position {i} out of range 1..{p}")
+    kids = [leaf(p)] * p
+    kids[i - 1] = t
+    return node(*kids)
+
+
+def tree_beta(t: Bracketing, i: int) -> Bracketing:
+    """Replace the i-th variable of ``t`` (left to right) by a fresh operation on leaves."""
+    if not 1 <= i <= t.length:
+        raise ValueError(f"variable position {i} out of range 1..{t.length}")
+    path: list[tuple[Bracketing, int]] = []  # each node above the variable, and the child taken
+    s = t
+    while not s.is_leaf:
+        for idx, c in enumerate(s.children):
+            if i <= c.length:
+                break
+            i -= c.length
+        else:
+            raise AssertionError("variable position fell off the children")
+        path.append((s, idx))
+        s = c
+    out = node(*(leaf(t.arity),) * t.arity)
+    for s, idx in reversed(path):
+        out = node(*s.children[:idx], out, *s.children[idx + 1:])
+    return out
+
+
+@st.composite
+def trees_grown_by_the_oracle(draw):
+    p = draw(st.integers(2, 4))
+    t = leaf(p)
+    for _ in range(draw(st.integers(0, 6))):
+        t = tree_beta(t, draw(st.integers(1, t.length)))
+    return t
+
+
 class TestGammaBeta:
+    @given(trees_grown_by_the_oracle())
+    def test_word_edits_match_the_tree_walks(self, t):
+        for i in range(1, t.length + 1):
+            assert a.beta(t, i) is tree_beta(t, i)
+        for i in range(1, t.arity + 1):
+            assert a.gamma(t, i) is tree_gamma(t, i)
+
     def test_gamma_examples(self):
         xx = a.parse_bracketing("wxx", 2)
         assert a.gamma(xx, 1) is a.parse_bracketing("wwxxx", 2)

@@ -50,8 +50,8 @@ def catalan_rec(n, p):
 
 @st.composite
 def bracketings(draw, max_occ=7, arities=(2, 3, 4)):
-    # grown by the tree-side operator beta through the checked node, so no
-    # prefix-word decoder builds the trees it is used to test
+    # grown by the operator beta, a word edit, so no prefix-word decoder
+    # builds the trees it is used to test
     p = draw(st.sampled_from(arities))
     t = a.leaf(p)
     for _ in range(draw(st.integers(0, max_occ))):
@@ -189,7 +189,8 @@ def children_by_ballot(n, p):
 
 
 def assert_children_by_ballot(n, p):
-    got, want = terms._children(n, p), children_by_ballot(n, p)
+    *_, got = terms._children_up_to(n, p)  # the last level's ranks and levels
+    want = children_by_ballot(n, p)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -204,8 +205,7 @@ class TestWordArray:
 
     @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 5), (5, 4)])
     def test_child_ranks_name_the_composed_children(self, p, top):
-        for n in range(1, top + 1):
-            ranks, levels = terms._children(n, p)
+        for n, (ranks, levels) in enumerate(terms._children_up_to(top, p), 1):
             want = [[(c.occ, composed_level(c.occ, p).index(c)) for c in t.children]
                     for t in composed_level(n, p)]
             assert np.stack([levels, ranks], axis=2).tolist() == [
@@ -248,6 +248,17 @@ class TestWordArray:
         for word in terms._texts(words):
             assert a.parse_bracketing(word, p).occ == n
 
+    def test_enumeration_builds_only_its_level(self):
+        # the level's trees come from its words alone: no lower tree is interned
+        kept = dict(terms._node_cache)  # the trees alive now, interned again afterwards
+        terms._node_cache.clear()
+        try:
+            trees = a.enumerate_bracketings(10, 2)
+            assert len(terms._node_cache) == len(trees) == 16796
+        finally:
+            terms._node_cache.clear()
+            terms._node_cache.update(kept)
+
     def test_level_arrays_are_cached_and_small(self):
         # level 12 as trees kept about 80 MiB; as words it is one byte a symbol
         words = terms._level(12, 2)
@@ -270,8 +281,7 @@ class TestInfixRows:
         assert max(sizes) * 34 <= terms._CHUNK_CELLS
 
     def test_first_child_levels_follow_the_canonical_order(self):
-        for n in range(1, 9):
-            ranks, levels = terms._children(n, 2)
+        for n, (ranks, levels) in enumerate(terms._children_up_to(8, 2), 1):
             runs = np.flatnonzero(ranks[:, 1] == 0)  # a run starts at its first right child
             assert np.array_equal(terms._orders(n - 1, 2)[n - 1], levels[runs, 0])
 
@@ -361,15 +371,23 @@ class TestParseRender:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_deep_comb_costs_linear_memory(self, side):
-        # built with node, so no word is cached on the comb or its subtrees yet;
-        # one word per subtree would hold about 10**8 characters
-        t = a.leaf(2)
-        for _ in range(10000):
-            t = a.node(t, a.leaf(2)) if side == "left" else a.node(a.leaf(2), t)
+        # built with node, so every subtree's word is made; one word kept per
+        # subtree, or one child tuple per level of a walk, would hold about
+        # 10**8 characters
         tracemalloc.start()
         try:
+            t = a.leaf(2)
+            for _ in range(10000):
+                t = a.node(t, a.leaf(2)) if side == "left" else a.node(a.leaf(2), t)
             for fmt in ("prefix", "infix"):
                 assert a.parse_bracketing(a.render_bracketing(t, fmt), 2, fmt) is t
+            dl, dr = a.left_right_depth(t)
+            assert (dl, dr) == ((10000, 1) if side == "left" else (1, 10000))
+            s = t  # a walk down the right spine cuts one child word a level, and keeps none
+            for _ in range(dr):
+                s = s.children[-1]
+            assert s.is_leaf
+            assert a.beta(t, 1).occ == a.beta(t, t.length).occ == 10001
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -389,6 +407,18 @@ class TestParseRender:
 class TestNodeLeaf:
     def test_interning(self):
         assert a.node(a.leaf(2), a.leaf(2)) is a.node(a.leaf(2), a.leaf(2))
+
+    @given(st.data())
+    def test_children_are_the_joined_trees(self, data):
+        p = data.draw(st.integers(2, 4))
+        kids = [data.draw(bracketings(max_occ=5, arities=(p,))) for _ in range(p)]
+        got = a.node(*kids).children
+        assert len(got) == p and all(c is k for c, k in zip(got, kids))
+
+    def test_children_of_a_wide_node_are_its_leaves(self):
+        kids = [a.leaf(2000)] * 2000
+        got = a.node(*kids).children
+        assert len(got) == 2000 and all(c is k for c, k in zip(got, kids))
 
     def test_child_arity_checked(self):
         with pytest.raises(ValueError):
