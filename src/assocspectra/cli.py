@@ -23,7 +23,7 @@ from .groupoids import (
     gallery,
     load_groupoid,
 )
-from .insertion import _tuple_columns, _tuple_lines, catalan, count_m, from_tuple
+from .insertion import _tuple_columns, _tuple_lines, from_tuple
 from .spectra import (
     SpectrumPrefix,
     _bit_sequence,
@@ -37,7 +37,8 @@ from .spectra import (
     tau,
     verify_closed,
 )
-from .terms import _infix_rows, _level, _level_size, _row_chunks, render_bracketing
+from .terms import (_infix_rows, _level, _level_size, _row_chunks, catalan, count_m,
+                    render_bracketing)
 
 
 def cmd_enum(args) -> int:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (CapExceededError, SchemaError, check_int, check_nonnegative, require_cap,
                      require_level_cap)
-from .insertion import catalan
 from .spectra import (Partition, SpectrumPrefix, _components, _depths, _group_rows, _images,
                       _level_rows, verify_closed)
 from .terms import (
@@ -34,6 +33,7 @@ from .terms import (
     _level_size,
     _texts,
     _unrank,
+    catalan,
     enumerate_bracketings,
 )
 
@@ -267,8 +267,9 @@ def _walk(g: Groupoid, top: int):
     class_ids, start = np.zeros(1, np.intp), [0]  # of each bracketing below; each level's start
     # the level below's key of each bracketing and class of each key
     below = np.zeros(1, np.intp), np.zeros(1, np.intp)
-    for n, (ranks, levels) in enumerate(_children_up_to(top, p), 1):
-        keys, which = _group_rows(class_ids[np.array(start)[levels] + ranks])
+    for n, chunks in enumerate(_children_up_to(top, p), 1):
+        keys, which = _group_rows(np.concatenate(
+            [class_ids[np.array(start)[levels] + ranks] for _, ranks, levels in chunks]))
         label = _forced_unions(n, p, *below, which, len(keys))
         reps = np.flatnonzero(label == np.arange(len(keys)))  # each union's least key
         offsets = (p - 1) * (top - n) + 1
@@ -663,27 +664,29 @@ def _ring_level(args: np.ndarray, level: int):
     ``args`` has shape ``(trials, level + 1, truncation)``.  Every bracketing
     of the lower levels is evaluated once, at all of its leaf offsets at the
     same time: level m keeps values of shape ``(count, trials, offsets,
-    truncation)``.  A block of bracketings that share a left child level is
-    one :func:`_ring_op` over its children's slices.  Each block yields its
-    ranks and its values, of shape ``(len(ranks), trials, truncation)``,
-    which are not stored.
+    truncation)``.  A block of a chunk's bracketings that share a left child
+    level is one :func:`_ring_op` over its children's slices.  Each block
+    yields its ranks and its values, of shape ``(len(ranks), trials,
+    truncation)``, which are not stored.
     """
     if level == 0:
         yield np.zeros(1, np.intp), args[None, :, 0]
         return
     below = [args[None]]  # per level: values at leaf offsets 0..level-m
-    for m, (ranks, levels) in enumerate(_children_up_to(level, 2), 1):
+    for m, chunks in enumerate(_children_up_to(level, 2), 1):
         offsets = level - m + 1
         if m < level:
-            kept = np.empty((len(ranks), args.shape[0], offsets, args.shape[2]), args.dtype)
+            kept = np.empty((catalan(m, 2), args.shape[0], offsets, args.shape[2]), args.dtype)
             below.append(kept)
         step = max(1, _CHUNK_CELLS // (args.shape[0] * offsets * args.shape[2]))
-        for left in range(m):
-            block = np.flatnonzero(levels[:, 0] == left)
-            for rows in np.split(block, range(step, len(block), step)):
-                got = _ring_op(below[left][ranks[rows, 0], :, :offsets],
-                               below[m - 1 - left][ranks[rows, 1], :, left + 1:left + 1 + offsets])
-                if m < level:
-                    kept[rows] = got
-                else:
-                    yield rows, got[:, :, 0]
+        for lo, ranks, levels in chunks:
+            for left in range(m):
+                block = np.flatnonzero(levels[:, 0] == left)
+                for rows in np.split(block, range(step, len(block), step)):
+                    got = _ring_op(below[left][ranks[rows, 0], :, :offsets],
+                                   below[m - 1 - left][ranks[rows, 1], :,
+                                                       left + 1:left + 1 + offsets])
+                    if m < level:
+                        kept[lo + rows] = got
+                    else:
+                        yield lo + rows, got[:, :, 0]

@@ -8,21 +8,23 @@ and to prefix words, one at a time or as rows of a word array, and the
 levels themselves are stored and ranked by :mod:`assocspectra.terms` alone.
 A level's tuples are written as text a row chunk at a time
 (:func:`_tuple_lines`: one ``uint8`` buffer of ``(u1,...,un)`` lines).
-Relaxing the bound offset from 1 to ``k`` yields the counted family
-``M(n, k, p)``; all counts are exact unbounded integers.
+Relaxing the bound offset from 1 to ``k`` yields the family ``M(n, k, p)``,
+listed here (:func:`enumerate_m`); its exact counts (:func:`count_m`,
+:func:`catalan`) live in :mod:`assocspectra.terms`, whose ballot table holds
+them, and are imported from there.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ParseError, check_int, check_nonnegative, require_level_cap
-from .terms import _W, _X, DEFAULT_MAX_BRACKETINGS, Bracketing, _intern
+from .errors import ParseError, check_int, require_level_cap
+from .terms import (_W, _X, DEFAULT_MAX_BRACKETINGS, Bracketing, _check_mkp_args, _intern,
+                    count_m)
 
 
 def to_tuple(t: Bracketing) -> tuple[int, ...]:
@@ -144,37 +146,12 @@ def _iter_m(n: int, k: int, p: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
-def _check_mkp_args(n: int, k: int, p: int) -> None:
-    check_nonnegative(n, "tuple length")
-    if k < 1:
-        raise ValueError(f"bound offset must be positive, got {k}")
-    check_int(p, "arity", 2)
-
-
 def enumerate_m(n: int, k: int, p: int, *, max_count: int | None = None) -> list[tuple[int, ...]]:
     """All weakly increasing n-tuples with ``u_i <= (p-1)*(i-1) + k``, lexicographically."""
     _check_mkp_args(n, k, p)
     require_level_cap(n, lambda: count_m(n, k, p), max_count, DEFAULT_MAX_BRACKETINGS,
                       f"M({n},{k},{p}) holds {{}} tuples")
     return list(_iter_m(n, k, p))
-
-
-def count_m(n: int, k: int, p: int) -> int:
-    """Exact size of ``M(n, k, p)``: ``k/((p-1)n+k) * C(pn+k-1, n)``.
-
-    Evaluated as an integer binomial followed by an exact division; the
-    division is asserted to leave no remainder.
-    """
-    _check_mkp_args(n, k, p)
-    numerator = k * comb(p * n + k - 1, n)
-    q, r = divmod(numerator, (p - 1) * n + k)
-    assert r == 0, f"count of M({n},{k},{p}) did not divide exactly"
-    return q
-
-
-def catalan(n: int, p: int) -> int:
-    """Number of bracketings with occurrence number ``n``: ``C(pn, n)/((p-1)n + 1)``."""
-    return count_m(n, 1, p)
 
 
 def format_tuple(u) -> str:

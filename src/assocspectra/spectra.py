@@ -36,7 +36,6 @@ from .insertion import (
     _tuple_columns,
     _tuple_lines,
     _tuple_words,
-    catalan,
     format_tuple,
     parse_tuple,
 )
@@ -52,6 +51,7 @@ from .terms import (
     _rank,
     _row_chunks,
     _word_index,
+    catalan,
 )
 
 

@@ -12,15 +12,16 @@ canonical order: lexicographic on prefix words with ``w`` before ``x``,
 which is also lexicographic on insertion tuples.  Only ``_level`` stores a
 level, as a read-only ``uint8`` array of prefix words, one row per rank;
 the ballot table ``_completions`` ranks and unranks words.  The canonical
-order of the lower trees (``_orders``) gives each level's child ranks
-(``_children_up_to``) and the runs of its binary infix rows
-(:func:`_infix_rows`).  Trees are built only on request, from a word alone.
+order of the lower trees (``_orders``) gives each level's child ranks in row
+chunks (``_children_up_to``), by which binary infix rows are copied from the
+lower levels' rows (:func:`_infix_rows`).  Trees are built only on request.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, islice
+from math import comb
 from weakref import WeakValueDictionary
 
 import numpy as np
@@ -134,6 +135,31 @@ def _fold(word: str, p: int, leaf, combine):
     return stack[0]
 
 
+def _check_mkp_args(n: int, k: int, p: int) -> None:
+    check_nonnegative(n, "tuple length")
+    if k < 1:
+        raise ValueError(f"bound offset must be positive, got {k}")
+    check_int(p, "arity", 2)
+
+
+def count_m(n: int, k: int, p: int) -> int:
+    """Exact size of ``M(n, k, p)``: ``k/((p-1)n+k) * C(pn+k-1, n)``.
+
+    Evaluated as an integer binomial followed by an exact division; the
+    division is asserted to leave no remainder.
+    """
+    _check_mkp_args(n, k, p)
+    numerator = k * comb(p * n + k - 1, n)
+    q, r = divmod(numerator, (p - 1) * n + k)
+    assert r == 0, f"count of M({n},{k},{p}) did not divide exactly"
+    return q
+
+
+def catalan(n: int, p: int) -> int:
+    """Number of bracketings with occurrence number ``n``: ``C(pn, n)/((p-1)n + 1)``."""
+    return count_m(n, 1, p)
+
+
 @lru_cache(maxsize=None)
 def _completions(n: int, p: int) -> np.ndarray:
     """Ballot table for ranking the words of levels up to n+1 and unranking level n+1.
@@ -150,8 +176,6 @@ def _completions(n: int, p: int) -> np.ndarray:
     cells that no rank reads.  The dtype is int32 when the level-(n+1) ranks
     fit in it, int64 otherwise.
     """
-    from .insertion import catalan, count_m  # insertion imports this module
-
     size = catalan(n + 1, p)
     rows = p * n + p + 1
     table = np.zeros((rows, n + 4), np.int32 if size < 2**31 else np.int64)
@@ -225,60 +249,61 @@ def _unrank(ranks: np.ndarray, n: int, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _level(n: int, p: int) -> np.ndarray:
     """The words of level ``n`` in canonical order, one read-only ``uint8`` row per rank."""
-    from .insertion import catalan  # insertion imports this module
-
     words = _unrank(np.arange(catalan(n, p)), n, p)
     words.setflags(write=False)
     return words
 
 
 def _children_up_to(top: int, p: int):
-    """Yield the ranks and levels of the children of levels ``1..top``, two ``(N, p)`` arrays each.
+    """Yield the children of levels ``1..top``, a level as ``(first rank, ranks, levels)`` chunks.
 
-    Level n lists its nodes by first child, over the trees up to level n-1 in
-    canonical order (:func:`_orders`), then by the rest.  A rank picks each
-    child by the running counts of the forests that the trees head (forests
-    of j trees of total t number ``count_m(t, j, p)``), and keeps what is left.
+    ``ranks`` and ``levels`` are ``(rows, p)`` arrays of ``_CHUNK_CELLS`` cells
+    at most, or of one row.  Level n lists its nodes by first child, over the
+    trees up to level n-1 in canonical order (:func:`_orders`), then by the
+    rest.  A rank picks each child by the running counts of the forests that
+    the trees head (forests of d < p trees of total t number ``count_m(t, d,
+    p)``, read below the clip of the ballot table), and keeps what is left.
 
     The blocks of :func:`_orders` do not depend on ``top``, and a level reads
     the running forest counts of a child position only up to its own blocks,
-    so each position's counts are summed once, when a level first reaches it.
+    so each position's counts are summed once, when a chunk first reaches it.
     """
-    from .insertion import catalan, count_m  # insertion imports this module
-
     orders = _orders(top - 1, p)
     # the trees up to each total t, a block per t: the total each leaves, its rank in its level
     left = np.concatenate([t - order for t, order in enumerate(orders)])
     in_level = np.concatenate([_in_level(order) for order in orders])
     starts = np.cumsum([0] + [len(order) for order in orders[:-1]])
     runs = []  # per child position i: the forests after child i, counted up over the trees
+    step = max(1, _CHUNK_CELLS // p)
 
-    def level(n: int) -> tuple[np.ndarray, np.ndarray]:
-        ranks = np.zeros((catalan(n, p), p), np.intp)
-        levels = np.zeros_like(ranks)
-        rank = np.arange(len(ranks))  # each row's rank among the forests of its rest
-        rest = np.full(len(ranks), n - 1)  # the total of each row's rest
-        for i in range(p - 1):
-            if not rest.any():  # every rest is all variables
-                break
-            if i == len(runs):
-                heads = np.array([count_m(t, p - 1 - i, p) for t in range(top)], np.int64)
-                runs.append(np.zeros(len(left) + 1, np.int64))
-                np.cumsum(heads[left], out=runs[i][1:])
-            rank += runs[i][starts[rest]]
-            child = np.searchsorted(runs[i], rank, "right") - 1
-            rank -= runs[i][child]
-            ranks[:, i] = in_level[child]
-            child = left[child]  # the rest's total; in-place steps keep two row temporaries
-            rest -= child
-            levels[:, i] = rest
-            rest = child
-        ranks[:, -1] = rank
-        levels[:, -1] = rest
-        return ranks, levels
+    def level(n: int):
+        size = catalan(n, p)
+        for lo in range(0, size, step):
+            rank = np.arange(lo, min(lo + step, size))  # a row's rank among its rest's forests
+            rest = np.full(len(rank), n - 1)  # the total of each row's rest
+            ranks = np.zeros((len(rank), p), np.intp)
+            levels = np.zeros_like(ranks)
+            for i in range(p - 1):
+                if not rest.any():  # every rest is all variables
+                    break
+                if i == len(runs):  # entry [p*t + d, t + 1] is count_m(t, d, p), d = p-1-i
+                    heads = _completions(top - 1, p)[p - 1 - i::p, 1:].diagonal()
+                    runs.append(np.zeros(len(left) + 1, np.int64))
+                    np.cumsum(heads[left], dtype=np.int64, out=runs[i][1:])
+                rank += runs[i][starts[rest]]
+                child = np.searchsorted(runs[i], rank, "right") - 1
+                rank -= runs[i][child]
+                ranks[:, i] = in_level[child]
+                child = left[child]  # the rest's total; in-place steps keep two row temporaries
+                rest -= child
+                levels[:, i] = rest
+                rest = child
+            ranks[:, -1] = rank
+            levels[:, -1] = rest
+            yield lo, ranks, levels
 
     for n in range(1, top + 1):
-        yield level(n)  # its temporaries are gone while a caller works on the level
+        yield level(n)
 
 
 def _orders(top: int, p: int) -> list[np.ndarray]:
@@ -312,42 +337,33 @@ def _in_level(order: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _infix_chunks(n: int, texts: list[np.ndarray]):
-    """``(first rank, rows)`` chunks of the infix rows of binary level ``n >= 1``.
-
-    ``texts[m]`` holds the rows of every level m below n.  A row is ``"(" +
-    infix(L) + infix(R) + ")"``: one run per left child ``L``, in the order of
-    :func:`_orders`, with ``R`` running through level ``n - 1 - |L|``.
-    """
-    left = _orders(n - 1, 2)[n - 1]
-    rank = _in_level(left)
-    runs = np.array([len(t) for t in texts])[n - 1 - left]
-    starts = np.cumsum(runs) - runs
-    width, size = 3 * n + 1, int(runs.sum())
-    step = max(1, _CHUNK_CELLS // width)
-    for lo in range(0, size, step):
-        ranks = np.arange(lo, min(lo + step, size))
-        run = np.searchsorted(starts, ranks, "right") - 1
-        sizes, lefts, rights = left[run], rank[run], ranks - starts[run]
-        rows = np.empty((len(ranks), width), np.uint8)
-        rows[:, 0], rows[:, -1] = ord("("), ord(")")
-        for m in np.unique(sizes).tolist():
-            of = sizes == m
-            rows[of, 1:3 * m + 2] = texts[m][lefts[of]]
-            rows[of, 3 * m + 2:-1] = texts[n - 1 - m][rights[of]]
-        yield lo, rows
-
-
 def _infix_rows(n: int):
     """Infix texts of binary level ``n``: ``(first rank, rows)`` chunks of ``uint8`` rows.
 
-    Built from the rows of the lower levels alone (:func:`_infix_chunks`);
-    no word array is read.  Byte-identical to :func:`_infix` per word.
+    A row is ``"(" + infix(L) + infix(R) + ")"``, copied from the rows of the
+    lower levels by the child ranks of :func:`_children_up_to`; no word array
+    is read.  Each chunk holds at most ``_CHUNK_CELLS`` cells, or one row.
+    Byte-identical to :func:`_infix` per word.
     """
-    texts = [np.full((1, 1), _X, np.uint8)]
-    for m in range(1, n):
-        texts.append(np.concatenate([rows for _, rows in _infix_chunks(m, texts)]))
-    return _infix_chunks(n, texts) if n else iter([(0, texts[0])])
+    texts = [np.full((1, 1), _X, np.uint8)]  # the rows of each level below
+    if not n:
+        yield 0, texts[0]
+    for m, chunks in enumerate(_children_up_to(n, 2), 1):
+        if m < n:
+            texts.append(np.empty((catalan(m, 2), 3 * m + 1), np.uint8))
+        for lo, ranks, levels in chunks:
+            if m < n:
+                rows = texts[m][lo:lo + len(ranks)]
+            else:
+                rows = np.empty((len(ranks), 3 * m + 1), np.uint8)
+            rows[:, 0], rows[:, -1] = ord("("), ord(")")
+            for left in np.unique(levels[:, 0]).tolist():
+                of = levels[:, 0] == left
+                rows[of, 1:3 * left + 2] = texts[left][ranks[of, 0]]
+                rows[of, 3 * left + 2:-1] = texts[m - 1 - left][ranks[of, 1]]
+            if m == n:
+                for first, cut in _row_chunks(rows):
+                    yield lo + first, cut
 
 
 def _texts(words: np.ndarray) -> list[str]:
@@ -365,8 +381,6 @@ def _level_size(n: int, p: int, max_count: int | None) -> int:
     table are allocated.
     """
     check_int(p, "arity", 2)
-    from .insertion import catalan  # insertion imports this module
-
     count = require_level_cap(n, lambda: catalan(n, p), max_count, DEFAULT_MAX_BRACKETINGS,
                               f"level {n} holds {{}} bracketings", level=n)
     cap = DEFAULT_MAX_BRACKETINGS if max_count is None else max_count

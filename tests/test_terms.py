@@ -188,8 +188,17 @@ def children_by_ballot(n, p):
     return ranks, levels
 
 
+def joined_children(top, p):
+    """The ranks and levels of the children of levels 1..top, each level's row chunks joined."""
+    for chunks in terms._children_up_to(top, p):
+        firsts, ranks, levels = zip(*chunks)
+        assert list(firsts) == list(itertools.accumulate(map(len, ranks[:-1]), initial=0))
+        assert all(r.size <= terms._CHUNK_CELLS or len(r) == 1 for r in ranks)
+        yield np.concatenate(ranks), np.concatenate(levels)
+
+
 def assert_children_by_ballot(n, p):
-    *_, got = terms._children_up_to(n, p)  # the last level's ranks and levels
+    *_, got = joined_children(n, p)  # the last level's ranks and levels
     want = children_by_ballot(n, p)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -205,7 +214,7 @@ class TestWordArray:
 
     @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (4, 5), (5, 4)])
     def test_child_ranks_name_the_composed_children(self, p, top):
-        for n, (ranks, levels) in enumerate(terms._children_up_to(top, p), 1):
+        for n, (ranks, levels) in enumerate(joined_children(top, p), 1):
             want = [[(c.occ, composed_level(c.occ, p).index(c)) for c in t.children]
                     for t in composed_level(n, p)]
             assert np.stack([levels, ranks], axis=2).tolist() == [
@@ -281,7 +290,7 @@ class TestInfixRows:
         assert max(sizes) * 34 <= terms._CHUNK_CELLS
 
     def test_first_child_levels_follow_the_canonical_order(self):
-        for n, (ranks, levels) in enumerate(terms._children_up_to(8, 2), 1):
+        for n, (ranks, levels) in enumerate(joined_children(8, 2), 1):
             runs = np.flatnonzero(ranks[:, 1] == 0)  # a run starts at its first right child
             assert np.array_equal(terms._orders(n - 1, 2)[n - 1], levels[runs, 0])
 
