@@ -55,11 +55,13 @@ class Groupoid:
         if arity > _MAX_ARITY:
             raise ValueError(f"arity {arity} is above {_MAX_ARITY}, the most that can be tabulated")
         check_int(size, "carrier size", 1)
-        table = tuple(int(e) for e in table)
+        table = tuple(table)
         # size**arity > len(table) once 2**arity does; never form a giant power
         if (size > 1 and arity > len(table).bit_length()) or len(table) != size ** arity:
             raise ValueError(f"table has {len(table)} entries, expected {size}^{arity}")
         for e in table:
+            if not isinstance(e, (int, np.integer)) or isinstance(e, bool):
+                raise ValueError(f"table entries must be integers, got {e!r}")
             if not 0 <= e < size:
                 raise ValueError(f"table entry {e} outside the carrier 0..{size - 1}")
         if names is not None:
@@ -68,9 +70,9 @@ class Groupoid:
                 raise ValueError(f"{len(names)} names for {size} elements")
         self.arity = arity
         self.size = size
-        self.table = table
+        self.table = tuple(map(int, table))
         self.names = names
-        array = np.array(table, dtype=np.min_scalar_type(size - 1)).reshape((size,) * arity)
+        array = np.array(self.table, dtype=np.min_scalar_type(size - 1)).reshape((size,) * arity)
         array.setflags(write=False)
         self._array = array
 
@@ -427,6 +429,8 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
     for m in range(cut, sigma.horizon + 1):
         if sigma.partitions[m].num_classes != 1:
             raise ValueError(f"level {m} must be fully merged from the cut on")
+    size = sum(sigma.partitions[m].num_classes for m in range(cut)) + 1  # the classes, then *
+    require_cap(size ** p, None, DEFAULT_MAX_CELLS, "quotient table needs {} cells")
     report = verify_closed(sigma)
     if not report.closed:
         raise ValueError(f"prefix is not closed (violation at level {report.level})")
@@ -442,7 +446,6 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
             element[t._word] = base + c
     star = len(representatives)
     names.append("*")
-    size = star + 1
     table = []
     for combo in itertools.product(range(size), repeat=p):
         if star in combo:

@@ -107,8 +107,8 @@ def from_tuple(u, p: int) -> Bracketing:
     hence the tree.
     """
     u = tuple(u)
-    _check_member(u, p, 1)
     check_int(p, "arity", 2)
+    _check_member(u, p, 1)
     # the runs of variables between operation symbols, as to_tuple splits them
     bounds = (1, *u, (p - 1) * len(u) + 2)
     return _intern(p, "w".join("x" * (b - a) for a, b in zip(bounds, bounds[1:])))
@@ -122,8 +122,8 @@ def beta_update(u, i: int, p: int) -> tuple[int, ...]:
     entries shift by ``p - 1`` new variables.
     """
     u = tuple(u)
-    _check_member(u, p, 1)
     check_int(p, "arity", 2)
+    _check_member(u, p, 1)
     n = len(u)
     if not 1 <= i <= (p - 1) * n + 1:
         raise ValueError(f"variable position {i} out of range 1..{(p - 1) * n + 1}")

@@ -181,15 +181,14 @@ class SpectrumPrefix:
         partitions = tuple(partitions)
         if not partitions:
             raise ValueError("a spectrum prefix needs at least level 0")
-        arity = partitions[0].arity
-        for i, pi in enumerate(partitions):
+        for i, pi in enumerate(partitions):  # level 0 is checked first, so its arity exists
             if not isinstance(pi, Partition):
                 raise TypeError(f"expected a Partition at level {i}, got {type(pi).__name__}")
-            if pi.arity != arity:
-                raise ValueError(f"mixed arities in prefix: {arity} and {pi.arity}")
+            if pi.arity != partitions[0].arity:
+                raise ValueError(f"mixed arities in prefix: {partitions[0].arity} and {pi.arity}")
             if pi.level != i:
                 raise ValueError(f"expected level {i}, got a partition of level {pi.level}")
-        self.arity = arity
+        self.arity = partitions[0].arity
         self.partitions = partitions
 
     @property
