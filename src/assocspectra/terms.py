@@ -281,8 +281,7 @@ def _children_up_to(top: int, p: int):
         for lo in range(0, size, step):
             rank = np.arange(lo, min(lo + step, size))  # a row's rank among its rest's forests
             rest = np.full(len(rank), n - 1)  # the total of each row's rest
-            ranks = np.zeros((len(rank), p), np.intp)
-            levels = np.zeros_like(ranks)
+            ranks, levels = np.zeros((2, len(rank), p), np.intp)  # one allocation for both
             for i in range(p - 1):
                 if not rest.any():  # every rest is all variables
                     break
