@@ -273,6 +273,7 @@ def _children_up_to(top: int, p: int):
     left = np.concatenate([t - order for t, order in enumerate(orders)])
     in_level = np.concatenate([_in_level(order) for order in orders])
     starts = np.cumsum([0] + [len(order) for order in orders[:-1]])
+    del orders  # the generator keeps what it reads, not the blocks
     runs = []  # per child position i: the forests after child i, counted up over the trees
     step = max(1, _CHUNK_CELLS // p)
 
