@@ -325,6 +325,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--builtin", "mystery", "--max-n", "3")
         assert code == 2 and "unknown builtin" in err
 
+    @pytest.mark.parametrize("builtin,message", [
+        ("left_factor", "builtin 'left_factor' needs a parameter, e.g. left_factor:2"),
+        ("left_factor:x", "bad parameter 'x' for builtin 'left_factor'"),
+        ("sigma_a", "builtin sigma_a needs a bit string"),
+        ("dldr:1", "builtin 'dldr' takes no parameter"),
+    ])
+    def test_bad_builtin_parameter(self, capsys, builtin, message):
+        code, out, err = run(capsys, "verify", "--builtin", builtin, "--max-n", "3")
+        assert code == 2 and out == "" and message in err
+
     def test_builtin_needs_max_n(self, capsys):
         code, _, err = run(capsys, "verify", "--builtin", "tau")
         assert code == 2 and "--max-n" in err

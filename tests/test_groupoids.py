@@ -109,6 +109,11 @@ class TestLoadGroupoid:
     def test_entry_range(self):
         with pytest.raises(SchemaError):
             a.load_groupoid({"p": 2, "size": 2, "table": [0, 1, 2, 0]})
+        # the constructor coerces no entry: a float, a string or a bool is refused
+        for bad in (0.9, "1", True):
+            with pytest.raises(ValueError, match="table entries must be integers"):
+                Groupoid(2, 2, [bad, 1, 1, 0])
+        assert Groupoid(2, 2, np.array([0, 1, 1, 0])).table == (0, 1, 1, 0)
 
     def test_missing_and_unknown_keys(self):
         with pytest.raises(SchemaError):
@@ -170,6 +175,10 @@ class TestEvalTerm:
 
     def test_argument_checks(self):
         g = a.gallery("egg4")
+        with pytest.raises(ValueError, match="expected 2 arguments, got 1"):
+            g.apply(1)
+        with pytest.raises(ValueError, match="element 9 outside the carrier"):
+            g.apply(9, 0)
         with pytest.raises(ValueError):
             a.eval_term(g, a.leaf(3), (0,))
         with pytest.raises(ValueError):
@@ -223,6 +232,13 @@ class TestTermFunction:
         g = a.gallery("egg7")
         with pytest.raises(CapExceededError):
             a.term_function(g, a.left_associated(8, 2), max_cells=1000)
+
+    def test_argument_checks(self):
+        g = a.gallery("egg4")
+        with pytest.raises(ValueError, match="expected 2 arguments"):
+            a.term_function(g, a.parse_bracketing("wxx", 2))(0)
+        with pytest.raises(ValueError, match="arity 3 does not match groupoid arity 2"):
+            a.term_function(g, a.parse_bracketing("wxxx", 3))
 
     @pytest.mark.parametrize("cap", [-1, 1.5])
     def test_cap_must_be_a_nonnegative_int(self, cap):
@@ -436,6 +452,13 @@ class TestFineSpectrum:
 
     def test_negative_horizon_yields_nothing(self):
         assert list(a.fine_spectrum(a.gallery("egg4"), -1)) == []
+
+    def test_levels_read_in_many_child_chunks_give_the_same_partitions(self, monkeypatch):
+        # a level of many row chunks of child ranks is joined into the keys of one
+        gs = [a.gallery("egg4"), a.gallery("polyk", k=3), Groupoid(3, 2, [0] * 6 + [1, 1])]
+        want = [list(a.fine_spectrum(g, 6)) for g in gs]
+        monkeypatch.setattr(terms, "_CHUNK_CELLS", 8)
+        assert [list(a.fine_spectrum(g, 6)) for g in gs] == want
 
     def test_spectrum_tabulates_as_often_as_its_top_level(self):
         # the per-level loop re-walked levels 1..n-1 for every n: 474 gathers;
@@ -687,6 +710,20 @@ class TestQuotient:
             + [Partition.full(4, 2)])
         with pytest.raises(ValueError):
             a.quotient_from_spectrum(not_full, 3)
+        not_closed = SpectrumPrefix(
+            [Partition.full(n, 2) for n in range(3)]
+            + [Partition.equality(3, 2), Partition.full(4, 2)])
+        with pytest.raises(ValueError, match="violation at level 2"):
+            a.quotient_from_spectrum(not_closed, 4)
+
+    def test_oversized_table_refused_before_it_is_built(self):
+        # 23,714 classes below the cut and *: a table of 23,715**2 cells
+        sigma = self._prefix(11, horizon=11)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as exc:
+            a.quotient_from_spectrum(sigma, 11)
+        assert time.perf_counter() - start < 1
+        assert exc.value.required == 23715**2 == 562_401_225
 
     def test_quotient_of_left_factor_prefix(self):
         # a nontrivial closed prefix that becomes full from level 4 on
@@ -765,6 +802,16 @@ class TestTruncatedRing:
         with pytest.raises(ValueError):
             a.TruncatedRing(0)
 
+    def test_elements_and_argument_checks(self):
+        ring = a.TruncatedRing(4)
+        assert ring.zero() == (0, 0, 0, 0)
+        with pytest.raises(ValueError, match="degree 9 outside 0..3"):
+            ring.monomial(9)
+        with pytest.raises(ValueError, match="binary"):
+            ring.eval_term(a.parse_bracketing("wxxx", 3), [ring.zero()] * 3)
+        with pytest.raises(ValueError, match="expected 2 arguments, got 1"):
+            ring.eval_term(a.parse_bracketing("wxx", 2), [ring.zero()])
+
     def test_eval_term_deep_left_associated(self):
         ring = a.TruncatedRing(16)
         t = a.left_associated(3000, 2)
@@ -792,6 +839,21 @@ class TestRingClosedFormCheck:
     def test_level_must_stay_below_truncation(self):
         with pytest.raises(ValueError):
             a.ring_closed_form_check(4, 4, trials=1)
+        with pytest.raises(ValueError, match="at least one trial"):
+            a.ring_closed_form_check(16, 3, trials=0)
+
+    def test_levels_read_in_many_child_chunks_give_the_same_values(self, monkeypatch):
+        args = np.random.default_rng(1).integers(0, 6, (3, 7, 8)).astype(np.int8)
+
+        def values():
+            out = np.full((a.catalan(6, 2), 3, 8), -1, np.int8)
+            for ranks, got in groupoids._ring_level(args, 6):
+                out[ranks] = got
+            return out
+
+        want = values()
+        monkeypatch.setattr(terms, "_CHUNK_CELLS", 8)
+        assert np.array_equal(values(), want) and (want >= 0).all()
 
     def test_report_fields(self):
         report = a.ring_closed_form_check(16, 3, trials=7, seed=5)

@@ -76,10 +76,14 @@ class TestFromTuple:
             for u in a.enumerate_m(n, 1, p):
                 assert a.to_tuple(a.from_tuple(u, p)) == u
 
-    @pytest.mark.parametrize("bad", [(2, 1), (1, 3), (0,), (2,), (1, 1, 4)])
+    @pytest.mark.parametrize("bad", [(2, 1), (1, 3), (0,), (2,), (1, 1, 4), (1.0,)])
     def test_invalid_tuples(self, bad):
         with pytest.raises(ValueError):
             a.from_tuple(bad, 2)
+
+    def test_arity_checked_before_the_tuple(self):
+        with pytest.raises(ValueError, match="arity"):
+            a.from_tuple((1,), "2")
 
 
 class TestBetaUpdate:
@@ -108,6 +112,8 @@ class TestBetaUpdate:
             a.beta_update((2, 1), 1, 2)
         with pytest.raises(ValueError, match="arity"):
             a.beta_update((1,), 1, 1)  # arity 1 has no bracketings
+        with pytest.raises(ValueError, match="arity"):
+            a.beta_update((1,), 1, "2")
 
 
 class TestEnumerateM:

@@ -469,6 +469,10 @@ class TestCovers:
              Partition.equality(3, 2), Partition.full(4, 2)])
         with pytest.raises(ValueError):
             a.covers(self._coatom(4), other)
+        with pytest.raises(ValueError, match="arity mismatch"):
+            a.covers(self._top(4), self._top(4, p=3))
+        with pytest.raises(ValueError, match="does not refine the upper one at level 2"):
+            a.covers(self._top(4), self._coatom(4))
 
 
 class TestTau:
@@ -565,6 +569,10 @@ class TestLeftFactorSigma:
                 want = sum(math.comb(n - 1, i) for i in range(k + 1))
                 assert a.left_factor_sigma(n, k).num_classes == want
 
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least one left factor"):
+            a.left_factor_sigma(3, 0)
+
     def test_huge_k_reads_only_the_lengths_that_differ(self):
         # the entries past n + 1 are 1 on every tree, so they separate nothing
         for n in range(9):
@@ -593,6 +601,10 @@ class TestTailTupleSigma:
                         den = (p - 1) * n + 1
                         assert num % den == 0
                         assert got == num // den
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least one tail entry"):
+            a.tail_tuple_sigma(3, 0, 2)
 
     def test_tail_slices_equal_relaxed_family(self):
         # the last k entries of level tuples sweep M(k, (p-1)(n-k)+1, p) shifted nowhere
@@ -724,6 +736,9 @@ class TestTextFormats:
         "level=2 p=2 classes=2\nclass 0: (1,1)\nclass 2: (1,2)",
         "level=2 p=2 classes=2\nclass 0: (1,1) (1,1)\nclass 1: (1,2)",
         "level=2 p=2 classes=2\nclass 0: (1,1)\nclass 1: (9,9)",
+        "level=2 p=1 classes=1\nclass 0: (1,1)",
+        "level=2 p=2 classes=2\nklass 0: (1,1)\nclass 1: (1,2)",
+        "level=2 p=2 classes=2\nclass 0:\nclass 1: (1,1) (1,2)",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
@@ -961,6 +976,12 @@ class TestSpectrumPrefix:
             SpectrumPrefix([Partition.full(1, 2)])
         with pytest.raises(ValueError):
             SpectrumPrefix([Partition.full(0, 2), Partition.full(2, 2)])
+        with pytest.raises(ValueError, match="at least level 0"):
+            SpectrumPrefix([])
+        # every member's type is checked before any arity is read
+        for members in ([1], [Partition.full(0, 2), 1]):
+            with pytest.raises(TypeError, match="expected a Partition"):
+                SpectrumPrefix(members)
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):

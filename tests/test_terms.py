@@ -1,6 +1,8 @@
+import ast
 import functools
 import itertools
 import math
+import pathlib
 import time
 import tracemalloc
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import assocspectra as a
-from assocspectra import CapExceededError, ParseError, terms
+from assocspectra import CapExceededError, ParseError, insertion, terms
 
 # first four binary levels, in canonical order
 TABLE1_PREFIX = {
@@ -289,6 +291,13 @@ class TestInfixRows:
         assert starts == list(itertools.accumulate(sizes[:-1], initial=0))
         assert max(sizes) * 34 <= terms._CHUNK_CELLS
 
+    def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        want = [terms._infix(w) for w in terms._texts(terms._level(7, 2))]
+        monkeypatch.setattr(terms, "_CHUNK_CELLS", 64)
+        chunks = [rows for _, rows in terms._infix_rows(7)]
+        assert terms._texts(np.concatenate(chunks)) == want
+        assert max(rows.size for rows in chunks) <= 64
+
     def test_first_child_levels_follow_the_canonical_order(self):
         for n, (ranks, levels) in enumerate(joined_children(8, 2), 1):
             runs = np.flatnonzero(ranks[:, 1] == 0)  # a run starts at its first right child
@@ -411,6 +420,8 @@ class TestParseRender:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             a.render_bracketing(a.leaf(2), "postfix")
+        with pytest.raises(ValueError, match="unknown format"):
+            a.parse_bracketing("x", 2, "postfix")
 
 
 class TestNodeLeaf:
@@ -434,6 +445,11 @@ class TestNodeLeaf:
             a.node(a.leaf(3), a.leaf(3))  # two children but ternary pieces
         with pytest.raises(ValueError):
             a.node(a.leaf(2))
+        with pytest.raises(TypeError, match="children must be bracketings"):
+            a.node(a.leaf(2), "x")
+
+    def test_leaf_has_no_children(self):
+        assert a.leaf(2).children == ()
 
     def test_occ_recursion(self):
         t = a.node(a.node(a.leaf(2), a.leaf(2)), a.leaf(2))
@@ -464,6 +480,14 @@ class TestEnumerateLeaves:
     def test_bad_start(self):
         with pytest.raises(ValueError):
             a.enumerate_leaves(a.leaf(2), 0)
+
+    def test_equality_hash_and_repr(self):
+        t = a.parse_bracketing("wxx", 2)
+        lb = a.enumerate_leaves(t, 3)
+        assert lb == a.enumerate_leaves(t, 3) and lb != a.enumerate_leaves(t, 4)
+        assert lb != t and lb != "wx3x4"  # another type compares unequal
+        assert hash(lb) == hash(a.enumerate_leaves(t, 3))
+        assert repr(lb) == "LabeledBracketing(p=2, 'wx3x4')"
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_deep_left_associated(self, p):
@@ -579,3 +603,16 @@ class TestLeftAssociated:
     def test_word_shape(self):
         t = a.left_associated(4, 3)
         assert a.render_bracketing(t) == "w" * 4 + "x" * 9
+
+
+def test_no_function_body_imports():
+    # terms owns the counts it uses, so no module defers an import to break a cycle
+    modules = sorted(pathlib.Path(a.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{path.name}:{inner[0].lineno} imports inside {fn.name}"
+    assert a.catalan is terms.catalan
+    assert a.count_m is insertion.count_m is terms.count_m
