@@ -253,7 +253,7 @@ def _walk(g: Groupoid, top: int):
     if top < 0:
         return
     p, op = g.arity, g._array
-    # the weights r[v, a]; importing numpy.random instead would take 5 MiB
+    # the weights r[v, a]; library calls load only numpy's core modules (numpy.random: 6 MiB)
     weights = random.Random(0).randbytes(8 * ((p - 1) * top + 1) * g.size)
     flat = (np.frombuffer(weights, np.uint64) % (_P - 1) + 1).astype(np.int64).reshape(-1, g.size)
     yield np.zeros(1, np.intp), flat[None]  # flat: every kept class's moments, a row an offset
@@ -279,13 +279,12 @@ def _walk(g: Groupoid, top: int):
         group = _group_rows(moments[:, 0])[1]
         shared = np.flatnonzero(np.bincount(group)[group] > 1)
         shared = shared[np.argsort(group[shared], kind="stable")]  # by moment, then by key
-        children = {c: table(c) for c in np.unique(keys[reps[shared]]).tolist()}
         sub = np.zeros(len(reps), np.intp)  # which distinct table of its moment a union has
         for _, run in itertools.groupby(shared.tolist(), group.__getitem__):
             distinct = []
             for k in run:
                 key = tuple(keys[reps[k]].tolist())
-                values = _gather(op, [children[c] for c in key])
+                values = _gather(op, [table(c) for c in key])
                 sub[k] = next((i for i, rep in enumerate(distinct)
                                if np.array_equal(values, rep)), len(distinct))
                 if sub[k] == len(distinct):
@@ -630,7 +629,8 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
     Term evaluation uses the ring operation only; the closed form
     ``(3Y)^dl * X_first + (2Y)^dr * X_last`` uses the tree depths, so the two
     routes are independent.  Needs ``level < truncation`` so distinct depths
-    stay distinguishable below the truncation.
+    stay distinguishable below the truncation.  The arguments are drawn from
+    ``random.Random(seed)``, uniform on Z6, so one seed gives one report.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -638,9 +638,9 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
     if level >= truncation:
         raise ValueError(f"level {level} needs a truncation degree above it, got {truncation}")
     count = _level_size(level, 2, max_count)
-    rng = np.random.default_rng(seed)
     n_vars = level + 1
-    args = rng.integers(0, 6, size=(trials, n_vars, truncation), dtype=np.int64)
+    args = np.array(random.Random(seed).choices(range(6), k=trials * n_vars * truncation),
+                    np.int64).reshape(trials, n_vars, truncation)
 
     def shifted(block: np.ndarray, degree: int, coeff: int) -> np.ndarray:
         out = np.zeros_like(block)

@@ -357,7 +357,7 @@ def _infix_rows(n: int):
             else:
                 rows = np.empty((len(ranks), 3 * m + 1), np.uint8)
             rows[:, 0], rows[:, -1] = ord("("), ord(")")
-            for left in np.unique(levels[:, 0]).tolist():
+            for left in range(m):
                 of = levels[:, 0] == left
                 rows[of, 1:3 * left + 2] = texts[left][ranks[of, 0]]
                 rows[of, 3 * left + 2:-1] = texts[m - 1 - left][ranks[of, 1]]

@@ -870,6 +870,20 @@ class TestRingClosedFormCheck:
             report = a.ring_closed_form_check(16, 4, trials=5)
         assert not report.ok and len(report.mismatches) == report.bracketings == 14
 
+    def test_one_seed_gives_one_report(self):
+        ring_op = groupoids._ring_op
+
+        def flawed(x1, x2):  # wrong only where a left argument's constant term is 5
+            out = ring_op(x1, x2)
+            out[..., 1] = (out[..., 1] + (x1[..., 0] == 5)) % 6
+            return out
+
+        with mock.patch.object(groupoids, "_ring_op", flawed):
+            reports = [a.ring_closed_form_check(8, 4, trials=1, seed=s) for s in (0, 0, 1, 1, 2)]
+        assert reports[0] == reports[1] and reports[2] == reports[3]
+        # the mismatches follow the drawn arguments, so the seeds tell apart
+        assert len({r.mismatches for r in reports}) > 1
+
     @pytest.mark.parametrize("level", range(7))
     def test_shared_evaluation_matches_eval_term(self, level):
         ring = a.TruncatedRing(8)
