@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -205,6 +206,23 @@ def _require_level(g: Groupoid, n: int, max_cells: int | None, max_count: int | 
     _level_size(n, g.arity, max_count)
 
 
+def _admitted(g: Groupoid, n: int, max_cells: int | None, max_count: int | None,
+              stop: int | None = None) -> tuple[int, CapExceededError | None]:
+    """The highest level from ``n`` up to ``stop`` (no bound if ``None``) that the caps admit.
+
+    Level ``n`` itself is taken as admitted; both needs grow with the level.
+    Returns that level and the refusal of the level above it, or ``None``
+    when ``stop`` is admitted.
+    """
+    while stop is None or n < stop:
+        try:
+            _require_level(g, n + 1, max_cells, max_count)
+        except CapExceededError as exc:
+            return n, exc
+        n += 1
+    return n, None
+
+
 def fine_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
                   max_count: int | None = None):
     """Yield the fine partitions of levels 0..max_n, classifying each level once.
@@ -213,24 +231,49 @@ def fine_spectrum(g: Groupoid, max_n: int, *, max_cells: int | None = None,
     with ``n``) and walked to; then the refusal of the level above it, a
     :class:`CapExceededError`, is raised.
     """
-    top, refusal = max_n, None
-    for n in range(max_n + 1):
-        try:
-            _require_level(g, n, max_cells, max_count)
-        except CapExceededError as exc:
-            top, refusal = n - 1, exc
-            break
+    top, refusal = _admitted(g, -1, max_cells, max_count, max_n)
     for n, (labels, _) in enumerate(_walk(g, top)):
         yield Partition._from_ids(n, g.arity, labels)
     if refusal:
         raise refusal
 
 
+# fine_level's previous call: its groupoid, the walk's horizon, the walk (None once it
+# has yielded its horizon) and the class ids of the levels it has yielded
+_open_walk: tuple | None = None
+_open_lock = threading.Lock()
+
+
 def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
                max_count: int | None = None) -> Partition:
-    """Partition level ``n`` by equality of induced term functions."""
+    """Partition level ``n`` by equality of induced term functions.
+
+    The first call on a groupoid walks to ``n`` and no further.  A call on the
+    groupoid of the previous call answers a level that the walk has passed
+    from its class ids, resumes the open walk when ``n`` lies below its
+    horizon, and otherwise walks again, with the horizon set to the highest
+    level that this call's caps admit, up to ``n``.  So a sweep over the
+    levels of one groupoid walks once.  Another groupoid, or a walk that
+    raises, drops the walk.
+    """
+    global _open_walk
     _require_level(g, n, max_cells, max_count)
-    return Partition._from_ids(n, g.arity, list(_walk(g, n))[-1][0])
+    with _open_lock:  # each thread resumes a walk of its own
+        state, _open_walk = _open_walk, None
+    if state is None or state[0] != g:
+        state = g, n, _walk(g, n), []
+    elif n >= len(state[3]) and (state[2] is None or n > state[1]):
+        top = _admitted(g, n, max_cells, max_count)[0]
+        state = g, top, _walk(g, top), []
+    _, top, walk, labels = state
+    del state
+    while len(labels) <= n:
+        labels.append(next(walk)[0])
+    if len(labels) > top:  # the walk has yielded its horizon: free what it holds now
+        walk = None
+    with _open_lock:
+        _open_walk = g, top, walk, labels
+    return Partition._from_ids(n, g.arity, labels[n])
 
 
 _P = 2**31 - 1  # moments are taken mod this prime
@@ -269,7 +312,7 @@ def _walk(g: Groupoid, top: int):
     class_ids, start = np.zeros(1, np.intp), [0]  # of each bracketing below; each level's start
     # the level below's key of each bracketing and class of each key
     below = np.zeros(1, np.intp), np.zeros(1, np.intp)
-    for n, chunks in enumerate(_children_up_to(top, p), 1):
+    for n, chunks in enumerate(itertools.islice(_children_up_to(p), top), 1):
         keys, which = _group_rows(np.concatenate(
             [class_ids[np.array(start)[levels] + ranks] for _, ranks, levels in chunks]))
         label = _forced_unions(n, p, *below, which, len(keys))
@@ -676,7 +719,7 @@ def _ring_level(args: np.ndarray, level: int):
         yield np.zeros(1, np.intp), args[None, :, 0]
         return
     below = [args[None]]  # per level: values at leaf offsets 0..level-m
-    for m, chunks in enumerate(_children_up_to(level, 2), 1):
+    for m, chunks in enumerate(itertools.islice(_children_up_to(2), level), 1):
         offsets = level - m + 1
         if m < level:
             kept = np.empty((catalan(m, 2), args.shape[0], offsets, args.shape[2]), args.dtype)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import comb
-from weakref import WeakValueDictionary
+from weakref import ref
 
 import numpy as np
 
@@ -82,13 +82,32 @@ class Bracketing:
         return f"Bracketing(p={self.arity}, {self._word!r})"
 
 
-# the live trees by (arity, word); a tree leaves when nothing else holds it
-_node_cache: WeakValueDictionary[tuple[int, str], Bracketing] = WeakValueDictionary()
+class _TreeRef(ref):
+    """A weak reference to an interned tree that knows its cache key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(dead: _TreeRef) -> None:
+    """A tree's death callback: drop its entry, unless a newer tree of its word holds the key."""
+    if _node_cache.get(dead.key) is dead:
+        del _node_cache[dead.key]
+
+
+# weak references to the live trees by (arity, word); a tree leaves when nothing else holds it
+_node_cache: dict[tuple[int, str], _TreeRef] = {}
 
 
 def _intern(p: int, word: str) -> Bracketing:
     """The interned tree of arity ``p`` with prefix ``word``, unchecked: it must be a bracketing."""
-    return _node_cache.get((p, word)) or _node_cache.setdefault((p, word), Bracketing(p, word))
+    key = p, word
+    alive = _node_cache.get(key)
+    tree = alive and alive()
+    if tree is None:
+        tree = Bracketing(p, word)
+        alive = _node_cache[key] = _TreeRef(tree, _forget)
+        alive.key = key
+    return tree
 
 
 def leaf(p: int) -> Bracketing:
@@ -254,26 +273,24 @@ def _level(n: int, p: int) -> np.ndarray:
     return words
 
 
-def _children_up_to(top: int, p: int):
-    """Yield the children of levels ``1..top``, a level as ``(first rank, ranks, levels)`` chunks.
+def _children_up_to(p: int):
+    """Yield the children of levels 1, 2, ..., a level as ``(first rank, ranks, levels)`` chunks.
 
     ``ranks`` and ``levels`` are ``(rows, p)`` arrays of ``_CHUNK_CELLS`` cells
     at most, or of one row.  Level n lists its nodes by first child, over the
     trees up to level n-1 in canonical order (:func:`_orders`), then by the
     rest.  A rank picks each child by the running counts of the forests that
     the trees head (forests of d < p trees of total t number ``count_m(t, d,
-    p)``, read below the clip of the ballot table), and keeps what is left.
+    p)``), and keeps what is left.
 
-    The blocks of :func:`_orders` do not depend on ``top``, and a level reads
-    the running forest counts of a child position only up to its own blocks,
-    so each position's counts are summed once, when a chunk first reaches it.
+    Level n adds the block of the trees up to n-1 when it is first asked
+    for, and a child position counts its forests over the blocks added since
+    a chunk last reached it, so a consumer that stops at level n has built
+    nothing for the levels above it.
     """
-    orders = _orders(top - 1, p)
+    orders = _orders(p)
     # the trees up to each total t, a block per t: the total each leaves, its rank in its level
-    left = np.concatenate([t - order for t, order in enumerate(orders)])
-    in_level = np.concatenate([_in_level(order) for order in orders])
-    starts = np.cumsum([0] + [len(order) for order in orders[:-1]])
-    del orders  # the generator keeps what it reads, not the blocks
+    left, in_level, starts = np.zeros(0, np.int16), np.zeros(0, np.int32), np.zeros(0, np.intp)
     runs = []  # per child position i: the forests after child i, counted up over the trees
     step = max(1, _CHUNK_CELLS // p)
 
@@ -286,10 +303,14 @@ def _children_up_to(top: int, p: int):
             for i in range(p - 1):
                 if not rest.any():  # every rest is all variables
                     break
-                if i == len(runs):  # entry [p*t + d, t + 1] is count_m(t, d, p), d = p-1-i
-                    heads = _completions(top - 1, p)[p - 1 - i::p, 1:].diagonal()
-                    runs.append(np.zeros(len(left) + 1, np.int64))
-                    np.cumsum(heads[left], dtype=np.int64, out=runs[i][1:])
+                if i == len(runs):
+                    runs.append(np.zeros(1, np.int64))
+                if len(runs[i]) <= len(left):  # blocks added since position i was counted
+                    heads = np.array([count_m(t, p - 1 - i, p) for t in range(len(starts))],
+                                     np.int64)
+                    more = np.cumsum(heads[left[len(runs[i]) - 1:]])
+                    more += runs[i][-1]
+                    runs[i] = np.concatenate([runs[i], more])
                 rank += runs[i][starts[rest]]
                 child = np.searchsorted(runs[i], rank, "right") - 1
                 rank -= runs[i][child]
@@ -302,36 +323,44 @@ def _children_up_to(top: int, p: int):
             levels[:, -1] = rest
             yield lo, ranks, levels
 
-    for n in range(1, top + 1):
+    for n, order in enumerate(orders, 1):  # order: the trees up to n - 1
+        starts = np.append(starts, len(left))
+        left = np.concatenate([left, n - 1 - order])
+        in_level = np.concatenate([in_level, _in_level(order)])
         yield level(n)
 
 
-def _orders(top: int, p: int) -> list[np.ndarray]:
-    """Levels of the trees of occurrence number <= t in canonical order, for t = 0..top.
+def _orders(p: int):
+    """Yield the levels of the trees of occurrence number <= t in canonical order, t = 0, 1, ...
 
     Prefix words are prefix-free, so node words compare child by child: the
     trees up to t are the nodes over the forests of p trees of total <= t-1,
     then the variable.  A forest of j trees of total <= b is a first tree up
     to b, then a forest of j-1 trees of total <= b minus that tree's level.
     """
-    orders, forests = [np.zeros(1, np.intp)], []
-    for b in range(top):
-        heads = orders[b]
-        forests.append([heads])  # forests[b][j - 1]: the totals of the forests of j trees
+    # levels fit int16: level 2**15 holds at least 2**32766 bracketings
+    heads, forests = np.zeros(1, np.int16), []
+    while True:
+        b = len(forests)
+        yield heads  # the trees up to b
+        forests.append([heads])  # forests[b][j - 1]: the totals of the forests of j < p trees
         for j in range(1, p):  # forests of j + 1 trees: a head, then j trees
             tails = [forests[b - m][j - 1] for m in range(b + 1)]  # by the head's level m
             sizes = np.array([len(f) for f in tails])
             runs = sizes[heads]
             index = np.repeat(np.cumsum(sizes)[heads] - np.cumsum(runs), runs)
             index += np.arange(len(index))
-            forests[b].append(np.concatenate(tails)[index] + np.repeat(heads, runs))
-        orders.append(np.append(forests[b][-1] + 1, 0))
-    return orders
+            index = np.concatenate(tails)[index]
+            index += np.repeat(heads, runs)
+            if j < p - 1:
+                forests[b].append(index)
+        heads = np.zeros(len(index) + 1, index.dtype)  # the nodes over the forests, then x
+        np.add(index, 1, out=heads[:-1])
 
 
 def _in_level(order: np.ndarray) -> np.ndarray:
     """The rank of each tree in its level, for levels of trees listed in canonical order."""
-    rank = np.empty_like(order)
+    rank = np.empty(len(order), np.int32 if len(order) < 2**31 else np.int64)
     for m, count in enumerate(np.bincount(order).tolist()):
         rank[order == m] = np.arange(count)
     return rank
@@ -342,28 +371,32 @@ def _infix_rows(n: int):
 
     A row is ``"(" + infix(L) + infix(R) + ")"``, copied from the rows of the
     lower levels by the child ranks of :func:`_children_up_to`; no word array
-    is read.  Each chunk holds at most ``_CHUNK_CELLS`` cells, or one row.
-    Byte-identical to :func:`_infix` per word.
+    is read.  Each chunk holds at most ``_CHUNK_CELLS`` cells, or one row, and
+    the top level's chunks of child ranks are cut to that many rows before
+    their text is filled.  Byte-identical to :func:`_infix` per word.
     """
     texts = [np.full((1, 1), _X, np.uint8)]  # the rows of each level below
     if not n:
         yield 0, texts[0]
-    for m, chunks in enumerate(_children_up_to(n, 2), 1):
+    step = max(1, _CHUNK_CELLS // (3 * n + 1))  # the rows of one chunk of the top level
+    for m, chunks in enumerate(islice(_children_up_to(2), n), 1):
         if m < n:
             texts.append(np.empty((catalan(m, 2), 3 * m + 1), np.uint8))
         for lo, ranks, levels in chunks:
-            if m < n:
-                rows = texts[m][lo:lo + len(ranks)]
-            else:
-                rows = np.empty((len(ranks), 3 * m + 1), np.uint8)
-            rows[:, 0], rows[:, -1] = ord("("), ord(")")
-            for left in range(m):
-                of = levels[:, 0] == left
-                rows[of, 1:3 * left + 2] = texts[left][ranks[of, 0]]
-                rows[of, 3 * left + 2:-1] = texts[m - 1 - left][ranks[of, 1]]
-            if m == n:
-                for first, cut in _row_chunks(rows):
-                    yield lo + first, cut
+            cut = step if m == n else len(ranks)  # the rows filled at once
+            for first in range(0, len(ranks), cut):
+                rank, level = ranks[first:first + cut], levels[first:first + cut]
+                if m < n:
+                    rows = texts[m][lo:lo + cut]
+                else:
+                    rows = np.empty((len(rank), 3 * m + 1), np.uint8)
+                rows[:, 0], rows[:, -1] = ord("("), ord(")")
+                for left in np.flatnonzero(np.bincount(level[:, 0])).tolist():  # those present
+                    of = level[:, 0] == left
+                    rows[of, 1:3 * left + 2] = texts[left][rank[of, 0]]
+                    rows[of, 3 * left + 2:-1] = texts[m - 1 - left][rank[of, 1]]
+                if m == n:
+                    yield lo + first, rows
 
 
 def _texts(words: np.ndarray) -> list[str]:

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -301,6 +303,11 @@ def count_gathers(run):
     return len(calls)
 
 
+def drop_open_walk():
+    """Forget the walk that ``fine_level`` keeps, so that its next call is a first call."""
+    groupoids._open_walk = None
+
+
 class TestFineLevel:
     def test_levels_zero_and_one_are_trivial(self):
         for g in (a.gallery("egg4"), a.gallery("sheffer"), a.gallery("polyk", k=2)):
@@ -468,6 +475,7 @@ class TestFineSpectrum:
         # per class whose moment another representative shares
         g = a.gallery("polyk", k=3)
         assert a.assoc_spectrum(g, 7) == [1, 1, 2, 4, 8, 15, 26, 42]
+        drop_open_walk()
         spectrum_calls = count_gathers(lambda: a.assoc_spectrum(g, 7))
         assert spectrum_calls == count_gathers(lambda: a.fine_level(g, 7)) == 11
 
@@ -484,6 +492,118 @@ class TestFineSpectrum:
             tracemalloc.stop()
         assert counts == [1, 1, 2, 5, 14, 41, 113]
         assert peak < 24 * 2**20
+
+
+class TestOpenWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(small_groupoids(), small_groupoids(), st.data())
+    def test_a_sweep_in_any_order_gives_the_spectrum(self, g, h, data):
+        top = data.draw(st.integers(0, 5 if g.arity == 2 else 3))
+        order = data.draw(st.sampled_from(["ascending", "descending", "interleaved", "any"]))
+        levels = list(range(top + 1))
+        if order == "descending":
+            levels.reverse()
+        elif order == "any":
+            levels = data.draw(st.permutations(levels))
+        want = list(a.fine_spectrum(g, top))
+        other = list(a.fine_spectrum(h, top))
+        for n in levels:
+            assert a.fine_level(g, n) == want[n]
+            if order == "interleaved":
+                assert a.fine_level(h, n) == other[n]
+
+    @pytest.mark.parametrize("name, params, top, gathers", [
+        ("polyk", {"k": 3}, 7, 11), ("egg4", {}, 7, 15), ("egg7", {}, 6, 24),
+        ("const_assoc", {"m": 3}, 8, 3)])
+    def test_a_sweep_gathers_as_one_walk(self, name, params, top, gathers):
+        # each call walked from level 1 again: 43, 49, 28 and 21 gathers
+        g = a.gallery(name, **params)
+        drop_open_walk()
+        assert count_gathers(lambda: [a.fine_level(g, n) for n in range(top + 1)]) == gathers
+        assert count_gathers(lambda: list(a.fine_spectrum(g, top))) == gathers
+        drop_open_walk()
+        assert count_gathers(lambda: a.fine_level(g, top)) == gathers  # a first call
+
+    def test_a_walk_that_raises_is_dropped(self):
+        g = a.gallery("egg4")
+        want = list(a.fine_spectrum(g, 7))
+        drop_open_walk()
+        a.fine_level(g, 2)
+        a.fine_level(g, 3)  # walks again, towards level 7, the last that the caps admit
+        assert groupoids._open_walk[1] == 7 and groupoids._open_walk[2] is not None
+        gather, failed = groupoids._gather, []
+
+        def fails_once(*args):
+            if not failed:
+                failed.append(1)
+                raise MemoryError("no room for a table")
+            return gather(*args)
+
+        with mock.patch.object(groupoids, "_gather", fails_once):
+            n = 4
+            with pytest.raises(MemoryError):
+                for n in range(4, 8):
+                    a.fine_level(g, n)
+            assert groupoids._open_walk is None
+            assert [a.fine_level(g, m) for m in range(n, 8)] == want[n:]
+
+    def test_a_tighter_cap_refuses_while_a_walk_is_open(self):
+        g = a.gallery("egg7")
+        drop_open_walk()
+        with pytest.raises(CapExceededError) as fresh:
+            a.fine_level(g, 5, max_cells=10**5)
+        a.fine_level(g, 2)
+        a.fine_level(g, 3)
+        assert groupoids._open_walk[2] is not None
+        for n in (3, 5):  # a level the walk has passed, and one it has not
+            with pytest.raises(CapExceededError) as late:
+                a.fine_level(g, n, max_cells=7 ** (n + 1) * a.catalan(n, 2) - 1)
+            assert late.value.level == n
+        with pytest.raises(CapExceededError) as late:
+            a.fine_level(g, 5, max_cells=10**5)
+        assert (str(late.value), late.value.required, late.value.limit, late.value.level) == (
+            str(fresh.value), fresh.value.required, fresh.value.limit, fresh.value.level)
+        assert groupoids._open_walk[2] is not None
+        assert a.fine_level(g, 5).num_classes == 41
+
+    def test_look_ahead_builds_nothing_above_the_level_asked_for(self):
+        # the second call walks with its horizon at level 13, the last that the
+        # bracketing cap admits; building the child ranks of levels up to 13
+        # held 11 MiB
+        g = Groupoid(2, 1, [0])
+        drop_open_walk()
+        tracemalloc.start()
+        try:
+            a.fine_level(g, 2)
+            pi = a.fine_level(g, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pi.num_classes == 1 and groupoids._open_walk[1] == 13
+        assert peak < 2**20
+
+    def test_threads_sweep_at_once(self):
+        # a walk shared by two threads raised "generator already executing"
+        gs = [a.gallery("egg4"), a.gallery("polyk", k=3), a.gallery("egg4"), a.gallery("egg4")]
+        want = [list(a.fine_spectrum(g, 7)) for g in gs]
+        got = [[] for _ in gs]
+
+        def sweep(i):
+            for _ in range(10):
+                got[i].append([a.fine_level(gs[i], n) for n in range(8)])
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(gs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[w] * 10 for w in want]
 
 
 def brute_moment(values, weights, size):

@@ -192,7 +192,7 @@ def children_by_ballot(n, p):
 
 def joined_children(top, p):
     """The ranks and levels of the children of levels 1..top, each level's row chunks joined."""
-    for chunks in terms._children_up_to(top, p):
+    for chunks in itertools.islice(terms._children_up_to(p), top):
         firsts, ranks, levels = zip(*chunks)
         assert list(firsts) == list(itertools.accumulate(map(len, ranks[:-1]), initial=0))
         assert all(r.size <= terms._CHUNK_CELLS or len(r) == 1 for r in ranks)
@@ -234,7 +234,7 @@ class TestWordArray:
 
     @pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (4, 4), (5, 3)])
     def test_orders_sort_the_words_up_to_each_level(self, p, top):
-        orders = terms._orders(top, p)
+        orders = list(itertools.islice(terms._orders(p), top + 1))
         assert len(orders) == top + 1
         for t, order in enumerate(orders):
             words = sorted(w for m in range(t + 1) for w in terms._texts(terms._level(m, p)))
@@ -270,6 +270,17 @@ class TestWordArray:
             terms._node_cache.clear()
             terms._node_cache.update(kept)
 
+    def test_a_dead_trees_callback_keeps_a_newer_tree_of_its_word(self):
+        key = 11, "w" * 3 + "x" * 31  # a tree that no other test holds
+        tree = terms._intern(*key)
+        stale = terms._node_cache[key]
+        del tree  # nothing else holds it, so its callback drops its entry
+        assert key not in terms._node_cache and stale() is None
+        tree = terms._intern(*key)
+        terms._forget(stale)  # the dead tree's callback again, late, as a collected cycle runs it
+        assert terms._node_cache[key]() is tree
+        assert terms._intern(*key) is tree
+
     def test_level_arrays_are_cached_and_small(self):
         # level 12 as trees kept about 80 MiB; as words it is one byte a symbol
         words = terms._level(12, 2)
@@ -291,6 +302,18 @@ class TestInfixRows:
         assert starts == list(itertools.accumulate(sizes[:-1], initial=0))
         assert max(sizes) * 34 <= terms._CHUNK_CELLS
 
+    def test_top_level_text_is_filled_a_chunk_at_a_time(self):
+        # filled a child-rank chunk (32,768 rows) at a time, level 11 peaked at 5.4 MiB
+        list(terms._infix_rows(3))
+        tracemalloc.start()
+        try:
+            for _ in terms._infix_rows(11):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
+
     def test_rows_do_not_depend_on_the_chunk_size(self, monkeypatch):
         want = [terms._infix(w) for w in terms._texts(terms._level(7, 2))]
         monkeypatch.setattr(terms, "_CHUNK_CELLS", 64)
@@ -299,9 +322,9 @@ class TestInfixRows:
         assert max(rows.size for rows in chunks) <= 64
 
     def test_first_child_levels_follow_the_canonical_order(self):
-        for n, (ranks, levels) in enumerate(joined_children(8, 2), 1):
+        for (ranks, levels), order in zip(joined_children(8, 2), terms._orders(2)):
             runs = np.flatnonzero(ranks[:, 1] == 0)  # a run starts at its first right child
-            assert np.array_equal(terms._orders(n - 1, 2)[n - 1], levels[runs, 0])
+            assert np.array_equal(order, levels[runs, 0])
 
 
 class TestParseRender:
