@@ -281,7 +281,7 @@ def _children_up_to(p: int):
     trees up to level n-1 in canonical order (:func:`_orders`), then by the
     rest.  A rank picks each child by the running counts of the forests that
     the trees head (forests of d < p trees of total t number ``count_m(t, d,
-    p)``), and keeps what is left.
+    p)``, read below the clip of the ballot table), and keeps what is left.
 
     Level n adds the block of the trees up to n-1 when it is first asked
     for, and a child position counts its forests over the blocks added since
@@ -306,9 +306,9 @@ def _children_up_to(p: int):
                 if i == len(runs):
                     runs.append(np.zeros(1, np.int64))
                 if len(runs[i]) <= len(left):  # blocks added since position i was counted
-                    heads = np.array([count_m(t, p - 1 - i, p) for t in range(len(starts))],
-                                     np.int64)
-                    more = np.cumsum(heads[left[len(runs[i]) - 1:]])
+                    # entry [p*t + d, t + 1] is count_m(t, d, p), d = p-1-i, below the clip
+                    heads = _completions(len(starts) - 1, p)[p - 1 - i::p, 1:].diagonal()
+                    more = np.cumsum(heads[left[len(runs[i]) - 1:]], dtype=np.int64)
                     more += runs[i][-1]
                     runs[i] = np.concatenate([runs[i], more])
                 rank += runs[i][starts[rest]]

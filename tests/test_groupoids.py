@@ -498,7 +498,7 @@ class TestOpenWalk:
     @settings(max_examples=60, deadline=None)
     @given(small_groupoids(), small_groupoids(), st.data())
     def test_a_sweep_in_any_order_gives_the_spectrum(self, g, h, data):
-        top = data.draw(st.integers(0, 5 if g.arity == 2 else 3))
+        top = data.draw(st.integers(0, 5 if g.arity == h.arity == 2 else 3))
         order = data.draw(st.sampled_from(["ascending", "descending", "interleaved", "any"]))
         levels = list(range(top + 1))
         if order == "descending":
@@ -540,7 +540,6 @@ class TestOpenWalk:
             return gather(*args)
 
         with mock.patch.object(groupoids, "_gather", fails_once):
-            n = 4
             with pytest.raises(MemoryError):
                 for n in range(4, 8):
                     a.fine_level(g, n)
