@@ -250,23 +250,22 @@ def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
 
     The first call on a groupoid walks to ``n`` and no further.  A call on the
     groupoid of the previous call answers a level that the walk has passed
-    from its class ids, resumes the open walk when ``n`` lies below its
+    from its class ids, resumes the open walk when ``n`` is at most its
     horizon, and otherwise walks again, with the horizon set to the highest
     level that this call's caps admit, up to ``n``.  So a sweep over the
-    levels of one groupoid walks once.  Another groupoid, or a walk that
-    raises, drops the walk.
+    levels of one groupoid walks once.  The walk is dropped once it yields
+    its horizon, when another groupoid is walked, and when it raises.
     """
     global _open_walk
     _require_level(g, n, max_cells, max_count)
     with _open_lock:  # each thread resumes a walk of its own
         state, _open_walk = _open_walk, None
-    if state is None or state[0] != g:
-        state = g, n, _walk(g, n), []
-    elif n >= len(state[3]) and (state[2] is None or n > state[1]):
-        top = _admitted(g, n, max_cells, max_count)[0]
-        state = g, top, _walk(g, top), []
-    _, top, walk, labels = state
+    same = state is not None and state[0] == g
+    _, top, walk, labels = state if same else (g, n, _walk(g, n), [])
     del state
+    if n >= len(labels) and (walk is None or n > top):  # walk again, looking ahead
+        top = _admitted(g, n, max_cells, max_count)[0]
+        walk, labels = _walk(g, top), []
     while len(labels) <= n:
         labels.append(next(walk)[0])
     if len(labels) > top:  # the walk has yielded its horizon: free what it holds now

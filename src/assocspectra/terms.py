@@ -350,12 +350,12 @@ def _orders(p: int):
             runs = sizes[heads]
             index = np.repeat(np.cumsum(sizes)[heads] - np.cumsum(runs), runs)
             index += np.arange(len(index))
-            index = np.concatenate(tails)[index]
-            index += np.repeat(heads, runs)
+            totals = np.concatenate(tails)[index]
+            totals += np.repeat(heads, runs)
             if j < p - 1:
-                forests[b].append(index)
-        heads = np.zeros(len(index) + 1, index.dtype)  # the nodes over the forests, then x
-        np.add(index, 1, out=heads[:-1])
+                forests[b].append(totals)
+        heads = np.zeros(len(totals) + 1, totals.dtype)  # the nodes over the forests, then x
+        np.add(totals, 1, out=heads[:-1])
 
 
 def _in_level(order: np.ndarray) -> np.ndarray:
