@@ -308,7 +308,8 @@ def _children_up_to(p: int):
                 if len(runs[i]) <= len(left):  # blocks added since position i was counted
                     # entry [p*t + d, t + 1] is count_m(t, d, p), d = p-1-i, below the clip
                     heads = _completions(len(starts) - 1, p)[p - 1 - i::p, 1:].diagonal()
-                    more = np.cumsum(heads[left[len(runs[i]) - 1:]], dtype=np.int64)
+                    more = heads.astype(np.int64)[left[len(runs[i]) - 1:]]
+                    np.cumsum(more, out=more)
                     more += runs[i][-1]
                     runs[i] = np.concatenate([runs[i], more])
                 rank += runs[i][starts[rest]]
@@ -351,11 +352,13 @@ def _orders(p: int):
             index = np.repeat(np.cumsum(sizes)[heads] - np.cumsum(runs), runs)
             index += np.arange(len(index))
             totals = np.concatenate(tails)[index]
+            del index  # a suspended generator would hold it until the next block
             totals += np.repeat(heads, runs)
             if j < p - 1:
                 forests[b].append(totals)
         heads = np.zeros(len(totals) + 1, totals.dtype)  # the nodes over the forests, then x
         np.add(totals, 1, out=heads[:-1])
+        del totals
 
 
 def _in_level(order: np.ndarray) -> np.ndarray:
