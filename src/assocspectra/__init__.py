@@ -6,144 +6,14 @@ manipulates level partitions under the implication operator, and computes
 fine and associative spectra of finite groupoids given by operation tables.
 """
 
-from .errors import (
-    CapExceededError,
-    ParseError,
-    SchemaError,
-    UnsupportedOperationError,
-)
-from .terms import (
-    DEFAULT_MAX_BRACKETINGS,
-    Bracketing,
-    LabeledBracketing,
-    catalan,
-    count_m,
-    egg_pairs,
-    enumerate_bracketings,
-    enumerate_leaves,
-    leaf,
-    left_associated,
-    left_lengths,
-    left_right_depth,
-    node,
-    parse_bracketing,
-    render_bracketing,
-)
-from .insertion import (
-    beta_update,
-    enumerate_m,
-    format_tuple,
-    from_tuple,
-    parse_tuple,
-    to_tuple,
-)
-from .spectra import (
-    ClosureReport,
-    Partition,
-    SpectrumPrefix,
-    beta,
-    build_prefix,
-    coatom_census,
-    covers,
-    delta,
-    dldr_sigma,
-    format_partition,
-    format_spectrum_prefix,
-    gamma,
-    left_factor_sigma,
-    parse_partition,
-    parse_spectrum_prefix,
-    partition_meet,
-    sigma_a,
-    tail_tuple_sigma,
-    tau,
-    verify_closed,
-)
-from .groupoids import (
-    DEFAULT_MAX_CELLS,
-    GALLERY_ENTRIES,
-    Groupoid,
-    RingCheckReport,
-    TermFunction,
-    TruncatedRing,
-    assoc_spectrum,
-    direct_product,
-    dump_groupoid,
-    eval_term,
-    fine_level,
-    fine_spectrum,
-    gallery,
-    is_associative,
-    load_groupoid,
-    quotient_from_spectrum,
-    ring_closed_form_check,
-    term_function,
-)
+from . import errors, groupoids, insertion, spectra, terms
+from .errors import *
+from .terms import *
+from .insertion import *
+from .spectra import *
+from .groupoids import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bracketing",
-    "CapExceededError",
-    "ClosureReport",
-    "DEFAULT_MAX_BRACKETINGS",
-    "DEFAULT_MAX_CELLS",
-    "GALLERY_ENTRIES",
-    "Groupoid",
-    "LabeledBracketing",
-    "ParseError",
-    "Partition",
-    "RingCheckReport",
-    "SchemaError",
-    "SpectrumPrefix",
-    "TermFunction",
-    "TruncatedRing",
-    "UnsupportedOperationError",
-    "assoc_spectrum",
-    "beta",
-    "beta_update",
-    "build_prefix",
-    "catalan",
-    "coatom_census",
-    "count_m",
-    "covers",
-    "delta",
-    "direct_product",
-    "dldr_sigma",
-    "dump_groupoid",
-    "egg_pairs",
-    "enumerate_bracketings",
-    "enumerate_leaves",
-    "enumerate_m",
-    "eval_term",
-    "fine_level",
-    "fine_spectrum",
-    "format_partition",
-    "format_spectrum_prefix",
-    "format_tuple",
-    "from_tuple",
-    "gallery",
-    "gamma",
-    "is_associative",
-    "leaf",
-    "left_associated",
-    "left_factor_sigma",
-    "left_lengths",
-    "left_right_depth",
-    "load_groupoid",
-    "node",
-    "parse_bracketing",
-    "parse_partition",
-    "parse_spectrum_prefix",
-    "parse_tuple",
-    "partition_meet",
-    "quotient_from_spectrum",
-    "render_bracketing",
-    "ring_closed_form_check",
-    "sigma_a",
-    "tail_tuple_sigma",
-    "tau",
-    "term_function",
-    "to_tuple",
-    "verify_closed",
-]
+__all__ = sorted(errors.__all__ + terms.__all__ + insertion.__all__ + spectra.__all__
+                 + groupoids.__all__)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import CapExceededError, UnsupportedOperationError, check_nonnegative
 from .groupoids import (
+    _GALLERY,
     GALLERY_ENTRIES,
     TruncatedRing,
     dump_groupoid,
@@ -169,17 +170,15 @@ def cmd_verify(args) -> int:
     return 1
 
 
-_GALLERY_PARAMS = {"polyk": "k", "const_assoc": "m", "truncated_ring": "truncation"}
-
-
 def _parse_gallery_ref(text: str) -> tuple[str, dict]:
     name, _, param = text.partition(":")
     if not param:
         return name, {}
-    if name not in _GALLERY_PARAMS:
+    key = _GALLERY[name][1] if name in _GALLERY else None
+    if key is None:
         raise ValueError(f"gallery entry {name!r} takes no parameter")
     try:
-        return name, {_GALLERY_PARAMS[name]: int(param)}
+        return name, {key: int(param)}
     except ValueError:
         raise ValueError(f"bad parameter {param!r} for gallery entry {name!r}") from None
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["CapExceededError", "ParseError", "SchemaError", "UnsupportedOperationError"]
+
 
 class CapExceededError(RuntimeError):
     """A computation would exceed its configured resource cap.
@@ -51,8 +53,8 @@ def _show(x: int) -> str:
 
 
 def require_cap(required: int, cap: int | None, default: int, what: str,
-                level: int | None = None) -> None:
-    """Raise :class:`CapExceededError` when ``required`` exceeds ``cap``.
+                level: int | None = None) -> int:
+    """Raise :class:`CapExceededError` when ``required`` exceeds ``cap``; else return ``required``.
 
     ``cap`` of ``None`` means ``default``; any other cap must be a
     nonnegative ``int`` and is checked before it is compared.  ``what``
@@ -65,6 +67,7 @@ def require_cap(required: int, cap: int | None, default: int, what: str,
     if required > cap:
         raise CapExceededError(f"{what.format(_show(required))}, more than the cap of {_show(cap)}",
                                required=required, limit=cap, level=level)
+    return required
 
 
 def require_level_cap(n: int, count, cap: int | None, default: int, what: str,
@@ -83,6 +86,4 @@ def require_level_cap(n: int, count, cap: int | None, default: int, what: str,
     if n > _SHOWN_BITS and n - 1 > cap.bit_length():
         raise CapExceededError(f"{what.format(f'at least 2**{n - 1}')}, more than the cap of "
                                f"{_show(cap)}", limit=cap, level=level)
-    required = count()
-    require_cap(required, cap, default, what, level)
-    return required
+    return require_cap(count(), cap, default, what, level)

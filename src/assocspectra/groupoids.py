@@ -35,8 +35,14 @@ from .terms import (
     _texts,
     _unrank,
     catalan,
-    enumerate_bracketings,
 )
+
+__all__ = [
+    "DEFAULT_MAX_CELLS", "GALLERY_ENTRIES", "Groupoid", "RingCheckReport", "TermFunction",
+    "TruncatedRing", "assoc_spectrum", "direct_product", "dump_groupoid", "eval_term",
+    "fine_level", "fine_spectrum", "gallery", "is_associative", "load_groupoid",
+    "quotient_from_spectrum", "ring_closed_form_check", "term_function",
+]
 
 DEFAULT_MAX_CELLS = 2 * 10**8
 _MAX_ARITY = 63  # numpy takes at most 63 index arrays; tabulating level 1 needs p of them
@@ -267,7 +273,8 @@ def fine_level(g: Groupoid, n: int, *, max_cells: int | None = None,
         top = _admitted(g, n, max_cells, max_count)[0]
         walk, labels = _walk(g, top), []
     while len(labels) <= n:
-        labels.append(next(walk)[0])
+        ids = next(walk)[0]  # kept until another groupoid is walked: int32 halves them
+        labels.append(ids.astype(np.int32) if len(ids) < 2**31 else ids)
     if len(labels) > top:  # the walk has yielded its horizon: free what it holds now
         walk = None
     with _open_lock:
@@ -365,7 +372,7 @@ def _forced_unions(n: int, p: int, below_which: np.ndarray, below_class: np.ndar
     if not len(several):
         return np.arange(size)
     ranks = np.unique(below_which, return_index=True)[1][several]
-    images = which[_images(_unrank(ranks, n - 1, p), ranks, n - 1, p)[:, p:]]
+    images = which[_images(_unrank(ranks, n - 1, p), n - 1, p)[:, p:]]
     # each class's first key, which comes first in `several`
     first, inverse = np.unique(below_class[several], return_index=True, return_inverse=True)[1:]
     anchor = first[inverse.reshape(-1)]
@@ -442,16 +449,13 @@ def direct_product(g: Groupoid, h: Groupoid, *, max_cells: int | None = None) ->
     p = g.arity
     size = g.size * h.size
     require_cap(size ** p, max_cells, DEFAULT_MAX_CELLS, "product table needs {} cells")
-    table = []
-    for combo in itertools.product(range(size), repeat=p):
-        a = g.apply(*(c // h.size for c in combo))
-        b = h.apply(*(c % h.size for c in combo))
-        table.append(a * h.size + b)
+    first, second = np.divmod(np.arange(size), h.size)
+    table = _gather(g._array * np.intp(h.size), [first] * p) + _gather(h._array, [second] * p)
     names = None
     if g.names or h.names:
         names = [f"({g.name_of(a)},{h.name_of(b)})"
                  for a in range(g.size) for b in range(h.size)]
-    return Groupoid(p, size, table, names)
+    return Groupoid(p, size, table.tolist(), names)
 
 
 def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
@@ -480,11 +484,11 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
     element: dict[str, int] = {}  # word -> class below the cut; a word not listed is "*"
     for m in range(cut):
         base = len(representatives)
-        for t, c in zip(enumerate_bracketings(m, p), sigma.partitions[m].class_of):
+        for word, c in zip(_texts(_level(m, p)), sigma.partitions[m].class_of):
             if base + c == len(representatives):  # class ids count up by first appearance
-                representatives.append(t._word)
-                names.append(f"[{t._word}]")
-            element[t._word] = base + c
+                representatives.append(word)
+                names.append(f"[{word}]")
+            element[word] = base + c
     star = len(representatives)
     names.append("*")
     table = []
@@ -609,23 +613,20 @@ class TruncatedRing:
         return f"TruncatedRing(truncation={self.truncation})"
 
 
-_GALLERY_BUILDERS = {
-    "egg4": _egg4,
-    "egg7": _egg7,
-    "polyk": _polyk,
-    "truncated_ring": TruncatedRing,
-    "sheffer": _sheffer,
-    "const_assoc": _const_assoc,
+# per entry: its builder, its one parameter (or None), its carrier size and its summary
+_GALLERY = {
+    "egg4": (_egg4, None, "4", "term-function maxima drop with each egg pair, floor 0"),
+    "egg7": (_egg7, None, "7",
+             "tagged blow-up whose fine spectrum merges exactly the 3-egg bracketings"),
+    "polyk": (_polyk, "k", "k+2",
+              "degree-k polynomial spectrum keyed by iterated left-factor lengths"),
+    "truncated_ring": (TruncatedRing, "truncation", "evaluation-only",
+                       "Z6 polynomials under 3Y*X1 + 2Y*X2 below Y^N"),
+    "sheffer": (_sheffer, None, "2", "separates every bracketing"),
+    "const_assoc": (_const_assoc, "m", "m", "associative control: x*y = min(x+y, m-1)"),
 }
 
-GALLERY_ENTRIES = (
-    ("egg4", "4", "term-function maxima drop with each egg pair, floor 0"),
-    ("egg7", "7", "tagged blow-up whose fine spectrum merges exactly the 3-egg bracketings"),
-    ("polyk", "k+2", "degree-k polynomial spectrum keyed by iterated left-factor lengths"),
-    ("truncated_ring", "evaluation-only", "Z6 polynomials under 3Y*X1 + 2Y*X2 below Y^N"),
-    ("sheffer", "2", "separates every bracketing"),
-    ("const_assoc", "m", "associative control: x*y = min(x+y, m-1)"),
-)
+GALLERY_ENTRIES = tuple((name, size, summary) for name, (*_, size, summary) in _GALLERY.items())
 
 
 def gallery(name: str, **params):
@@ -635,11 +636,10 @@ def gallery(name: str, **params):
     every other entry returns a tabulated :class:`Groupoid`.
     """
     try:
-        builder = _GALLERY_BUILDERS[name]
+        builder = _GALLERY[name][0]
     except KeyError:
         raise ValueError(
-            f"unknown gallery entry {name!r}; known: {', '.join(sorted(_GALLERY_BUILDERS))}"
-        ) from None
+            f"unknown gallery entry {name!r}; known: {', '.join(sorted(_GALLERY))}") from None
     try:
         return builder(**params)
     except TypeError as exc:

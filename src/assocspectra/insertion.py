@@ -26,6 +26,8 @@ from .errors import ParseError, check_int, require_level_cap
 from .terms import (_W, _X, DEFAULT_MAX_BRACKETINGS, Bracketing, _check_mkp_args, _intern,
                     count_m)
 
+__all__ = ["beta_update", "enumerate_m", "format_tuple", "from_tuple", "parse_tuple", "to_tuple"]
+
 
 def to_tuple(t: Bracketing) -> tuple[int, ...]:
     """Insertion tuple of ``t``; the empty tuple for the single variable.

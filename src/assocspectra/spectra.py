@@ -54,6 +54,13 @@ from .terms import (
     catalan,
 )
 
+__all__ = [
+    "ClosureReport", "Partition", "SpectrumPrefix", "beta", "build_prefix", "coatom_census",
+    "covers", "delta", "dldr_sigma", "format_partition", "format_spectrum_prefix", "gamma",
+    "left_factor_sigma", "parse_partition", "parse_spectrum_prefix", "partition_meet", "sigma_a",
+    "tail_tuple_sigma", "tau", "verify_closed",
+]
+
 
 class Partition:
     """An equivalence relation on the bracketings of one level.
@@ -241,17 +248,19 @@ def beta(t: Bracketing, i: int) -> Bracketing:
     return _intern(t.arity, word[:at] + "w" + "x" * t.arity + word[at + 1:])
 
 
-def _images(words: np.ndarray, ranks: np.ndarray, n: int, p: int) -> np.ndarray:
+def _images(words: np.ndarray, n: int, p: int) -> np.ndarray:
     """Level-(n+1) ranks of the operator images of level-n words.
 
-    ``words`` are word-array rows and ``ranks`` their ranks in level n; the
-    columns are ``gamma_1..gamma_p``, then ``beta_1..beta_{(p-1)n+1}``.
+    ``words`` are word-array rows, in any order; the columns are
+    ``gamma_1..gamma_p``, then ``beta_1..beta_{(p-1)n+1}``.  A word's own
+    rank in level n is the sum of its table entries.
     """
     table = _completions(n, p)
     cols = table.shape[1]
     flat = table.ravel()
     isx, index = _word_index(words, n, cols)
-    ranks = np.asarray(ranks, table.dtype)
+    own = np.take(flat, index)
+    ranks = own.sum(axis=1, dtype=table.dtype)
     out = np.empty((len(words), (p - 1) * n + 1 + p), table.dtype)
     # gamma_{i+1} writes "w x^i" before the word and "x^(p-1-i)" after it:
     # the head's variables count head[i], the trailing ones nothing, and the
@@ -264,7 +273,6 @@ def _images(words: np.ndarray, ranks: np.ndarray, n: int, p: int) -> np.ndarray:
     # level-(n+1) terms before it, the inserted variables (whose terms are
     # the gamma shifts s = 1..p-1 at that variable), and the word's own
     # terms from it on, which keep both the remaining length and the need
-    own = np.take(flat, index)
     lifted = np.take(flat[p * cols + 1:], index) - own
     before = np.cumsum(lifted, axis=1, dtype=table.dtype) - lifted + ranks[:, None]
     # the shifts go in blocks of at most _CHUNK_CELLS cells, or one shift each
@@ -326,7 +334,7 @@ def delta(pi: Partition) -> Partition:
     words = _level(n, p)
     images = np.empty((len(words), (p - 1) * n + 1 + p), _completions(n, p).dtype)
     for lo, rows in _row_chunks(words):
-        images[lo:lo + len(rows)] = _images(rows, np.arange(lo, lo + len(rows)), n, p)
+        images[lo:lo + len(rows)] = _images(rows, n, p)
     if images.min() < 0 or images.max() >= size:
         raise AssertionError(f"an operator image is ranked outside level {n + 1}")
     hit = np.zeros(size, bool)

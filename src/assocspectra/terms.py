@@ -28,6 +28,12 @@ import numpy as np
 
 from .errors import ParseError, check_int, check_nonnegative, require_cap, require_level_cap
 
+__all__ = [
+    "DEFAULT_MAX_BRACKETINGS", "Bracketing", "LabeledBracketing", "catalan", "count_m",
+    "egg_pairs", "enumerate_bracketings", "enumerate_leaves", "leaf", "left_associated",
+    "left_lengths", "left_right_depth", "node", "parse_bracketing", "render_bracketing",
+]
+
 DEFAULT_MAX_BRACKETINGS = 10**6
 _W, _X = ord("w"), ord("x")  # the symbols' bytes in a word array
 # array cells that one row chunk of a word array holds

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -391,3 +392,54 @@ class TestGallery:
         assert code == 2
         code, _, _ = run(capsys, "gallery", "emit", "polyk:three", str(tmp_path / "m.json"))
         assert code == 2
+
+    def test_list_bytes(self, capsys):
+        code, out, _ = run(capsys, "gallery", "list")
+        assert code == 0 and out == (
+            "egg4 (4)  term-function maxima drop with each egg pair, floor 0\n"
+            "egg7 (7)  tagged blow-up whose fine spectrum merges exactly the 3-egg bracketings\n"
+            "polyk (k+2)  degree-k polynomial spectrum keyed by iterated left-factor lengths\n"
+            "truncated_ring (evaluation-only)  Z6 polynomials under 3Y*X1 + 2Y*X2 below Y^N\n"
+            "sheffer (2)  separates every bracketing\n"
+            "const_assoc (m)  associative control: x*y = min(x+y, m-1)\n")
+
+    # the first 16 hex digits of each emitted document's SHA-256
+    @pytest.mark.parametrize("ref,digest", [
+        ("egg4", "1845aeeb0fe74054"), ("egg7", "e61faa855985ecbc"),
+        ("sheffer", "39aeb2fbd4d1c28b"), ("polyk:2", "163de73f7dbd7998"),
+        ("polyk: 2", "163de73f7dbd7998"), ("const_assoc:2", "677b5dbc1564d5d7")])
+    def test_emit_documents(self, capsys, tmp_path, ref, digest):
+        out_file = tmp_path / "g.json"
+        code, out, err = run(capsys, "gallery", "emit", ref, str(out_file))
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("ref,code,message", [
+        ("polyk", 2, "bad parameters for 'polyk': _polyk() missing 1 required positional "
+                     "argument: 'k'"),
+        ("const_assoc", 2, "bad parameters for 'const_assoc': _const_assoc() missing 1 required "
+                           "positional argument: 'm'"),
+        ("polyk:", 2, "bad parameters for 'polyk': _polyk() missing 1 required positional "
+                      "argument: 'k'"),
+        ("truncated_ring", 4, "truncated_ring is evaluation-only and has no finite table to emit"),
+        ("truncated_ring:2", 4,
+         "truncated_ring is evaluation-only and has no finite table to emit"),
+        ("egg4:2", 2, "gallery entry 'egg4' takes no parameter"),
+        ("egg7:2", 2, "gallery entry 'egg7' takes no parameter"),
+        ("sheffer:2", 2, "gallery entry 'sheffer' takes no parameter"),
+        ("mystery:3", 2, "gallery entry 'mystery' takes no parameter"),
+        ("polyk:x", 2, "bad parameter 'x' for gallery entry 'polyk'"),
+        ("const_assoc:x", 2, "bad parameter 'x' for gallery entry 'const_assoc'"),
+        ("truncated_ring:x", 2, "bad parameter 'x' for gallery entry 'truncated_ring'"),
+        ("mystery", 2, "unknown gallery entry 'mystery'; known: const_assoc, egg4, egg7, polyk, "
+                       "sheffer, truncated_ring"),
+        ("polyk:0", 2, "polyk degree k must be an integer >= 1, got 0"),
+        ("polyk:-1", 2, "polyk degree k must be an integer >= 1, got -1"),
+        ("const_assoc:0", 2, "const_assoc carrier size m must be an integer >= 1, got 0"),
+        ("truncated_ring:0", 2, "truncation degree must be an integer >= 1, got 0"),
+    ])
+    def test_emit_refusals(self, capsys, tmp_path, ref, code, message):
+        out_file = tmp_path / "g.json"
+        got = run(capsys, "gallery", "emit", ref, str(out_file))
+        assert got == (code, "", f"error: {message}\n")
+        assert not out_file.exists()

@@ -581,6 +581,15 @@ class TestOpenWalk:
         assert pi.num_classes == 1 and groupoids._open_walk[1] == 13
         assert peak < 2**20
 
+    def test_a_sweep_keeps_its_class_ids_as_int32(self):
+        # the ids of the 290,512 bracketings of levels 0..12 took 2.22 MiB as int64
+        g = a.gallery("egg4")
+        drop_open_walk()
+        for n in range(13):
+            a.fine_level(g, n, max_cells=10**15)
+        assert sum(ids.nbytes for ids in groupoids._open_walk[3]) <= 1.2 * 2**20
+        drop_open_walk()
+
     def test_threads_sweep_at_once(self):
         # a walk shared by two threads raised "generator already executing"
         gs = [a.gallery("egg4"), a.gallery("polyk", k=3), a.gallery("egg4"), a.gallery("egg4")]
@@ -784,6 +793,32 @@ class TestDirectProduct:
     def test_cap_must_be_a_nonnegative_int(self, cap):
         with pytest.raises(ValueError, match="cap"):
             a.direct_product(a.gallery("sheffer"), a.gallery("egg4"), max_cells=cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_cell_by_cell_product(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+
+        def factor(tag: str) -> Groupoid:
+            size = data.draw(st.integers(1, 3))
+            table = data.draw(st.lists(st.integers(0, size - 1), min_size=size**p,
+                                       max_size=size**p))
+            names = data.draw(st.sampled_from([None, [f"{tag}{e}" for e in range(size)]]))
+            return Groupoid(p, size, table, names)
+
+        g, h = factor("g"), factor("h")
+        size = g.size * h.size
+        table = []
+        for combo in itertools.product(range(size), repeat=p):
+            x = g.apply(*(c // h.size for c in combo))
+            y = h.apply(*(c % h.size for c in combo))
+            table.append(x * h.size + y)
+        names = None
+        if g.names or h.names:
+            names = [f"({g.name_of(x)},{h.name_of(y)})"
+                     for x in range(g.size) for y in range(h.size)]
+        prod = a.direct_product(g, h)
+        assert (prod.table, prod.names) == (tuple(table), None if names is None else tuple(names))
 
     def test_encoding(self):
         g, h = a.gallery("sheffer"), a.gallery("egg4")

@@ -1,9 +1,29 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import assocspectra as a
+
+# the package's public names, which assocspectra.__all__ lists
+PUBLIC = [
+    "Bracketing", "CapExceededError", "ClosureReport", "DEFAULT_MAX_BRACKETINGS",
+    "DEFAULT_MAX_CELLS", "GALLERY_ENTRIES", "Groupoid", "LabeledBracketing", "ParseError",
+    "Partition", "RingCheckReport", "SchemaError", "SpectrumPrefix", "TermFunction",
+    "TruncatedRing", "UnsupportedOperationError", "assoc_spectrum", "beta", "beta_update",
+    "build_prefix", "catalan", "coatom_census", "count_m", "covers", "delta", "direct_product",
+    "dldr_sigma", "dump_groupoid", "egg_pairs", "enumerate_bracketings", "enumerate_leaves",
+    "enumerate_m", "eval_term", "fine_level", "fine_spectrum", "format_partition",
+    "format_spectrum_prefix", "format_tuple", "from_tuple", "gallery", "gamma", "is_associative",
+    "leaf", "left_associated", "left_factor_sigma", "left_lengths", "left_right_depth",
+    "load_groupoid", "node", "parse_bracketing", "parse_partition", "parse_spectrum_prefix",
+    "parse_tuple", "partition_meet", "quotient_from_spectrum", "render_bracketing",
+    "ring_closed_form_check", "sigma_a", "tail_tuple_sigma", "tau", "term_function", "to_tuple",
+    "verify_closed",
+]
+MODULES = ("errors", "terms", "insertion", "spectra", "groupoids")
 
 # Imports numpy and the package, then runs every library layer and three CLI
 # commands, and prints the numpy modules that appeared after the first import.
@@ -52,3 +72,29 @@ def test_library_and_cli_load_no_further_numpy_module():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def star_names(module: str) -> set:
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    return set(namespace) - {"__builtins__"}
+
+
+def test_package_exports_the_public_names():
+    assert a.__all__ == PUBLIC
+    assert star_names("assocspectra") == set(PUBLIC)
+
+
+def test_each_module_lists_the_names_it_defines():
+    # each public name is stated once: in the __all__ of the module that defines it
+    listed = []
+    for name in MODULES:
+        module = importlib.import_module(f"assocspectra.{name}")
+        body = ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body
+        defined = {node.name for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        defined |= {target.id for node in body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert set(module.__all__) <= defined, name
+        assert star_names(module.__name__) == set(module.__all__), name
+        listed += module.__all__
+    assert sorted(listed) == PUBLIC  # so no name is listed twice

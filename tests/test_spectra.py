@@ -292,10 +292,28 @@ class TestDelta:
         want = [[rank["w" + xs[:i] + w + xs[i:]] for i in range(p)]
                 + [rank[w[:j] + "w" + xs + w[j:]] for j, ch in enumerate(w) if ch == "x"]
                 for w in words]
-        rows, ranks = words_of(a.enumerate_bracketings(n, p)), np.arange(len(words))
-        assert spectra._images(rows, ranks, n, p).tolist() == want
-        # the ranks need not run consecutively
-        assert spectra._images(rows[::-1], ranks[::-1], n, p).tolist() == want[::-1]
+        rows = words_of(a.enumerate_bracketings(n, p))
+        assert spectra._images(rows, n, p).tolist() == want
+        # the rows need not run in rank order
+        assert spectra._images(rows[::-1], n, p).tolist() == want[::-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_images_of_any_rows_rank_their_word_edits(self, data):
+        # rows in any number and order, as the walker's forced unions pass them
+        p = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(0, {2: 9, 3: 6, 4: 5, 5: 4}[p]))
+        ranks = data.draw(st.lists(st.integers(0, a.catalan(n, p) - 1), min_size=1, max_size=20))
+        rows = terms._unrank(np.array(ranks), n, p)
+        xs = "x" * (p - 1)
+        edits = "".join("w" + xs[:i] + w + xs[i:] for w in terms._texts(rows) for i in range(p))
+        gammas = np.frombuffer(edits.encode(), np.uint8).reshape(-1, p * n + p + 1)
+        edits = "".join(w[:j] + "w" + xs + w[j:]
+                        for w in terms._texts(rows) for j, ch in enumerate(w) if ch == "x")
+        betas = np.frombuffer(edits.encode(), np.uint8).reshape(-1, p * n + p + 1)
+        images = spectra._images(rows, n, p)
+        assert images[:, :p].ravel().tolist() == terms._rank(gammas, n + 1, p).tolist()
+        assert images[:, p:].ravel().tolist() == terms._rank(betas, n + 1, p).tolist()
 
     @pytest.mark.parametrize("p,n", [(2, 11), (3, 6), (4, 4), (6, 3)])
     def test_completion_table_matches_count_m(self, p, n):
