@@ -563,9 +563,17 @@ def _const_assoc(m: int) -> Groupoid:
 
 
 def _ring_op(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """``3Y*x1 + 2Y*x2`` on Z6 coefficient arrays along the last axis, lowest degree first."""
-    out = np.zeros_like(x1)
-    out[..., 1:] = (3 * x1[..., :-1] + 2 * x2[..., :-1]) % 6
+    """``3Y*x1 + 2Y*x2`` on Z6 coefficient arrays along the last axis, lowest degree first.
+
+    The result has the dtype of ``x1``; the inputs are not written to.
+    """
+    s = 3 * x1
+    s += 2 * x2
+    # s - 6*(s//6) is s % 6; numpy has a vector loop for int8 floor division, none for int8 %
+    s -= 6 * (s // 6)
+    out = np.empty_like(s)
+    out[..., 1:] = s[..., :-1]
+    out[..., 0] = 0
     return out
 
 
@@ -665,7 +673,8 @@ class RingCheckReport:
 
 
 def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
-                           seed: int = 0, max_count: int | None = None) -> RingCheckReport:
+                           seed: int = 0, max_count: int | None = None,
+                           max_cells: int | None = None) -> RingCheckReport:
     """Check every level bracketing against its depth closed form on random arguments.
 
     Term evaluation uses the ring operation only; the closed form
@@ -673,6 +682,9 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
     routes are independent.  Needs ``level < truncation`` so distinct depths
     stay distinguishable below the truncation.  The arguments are drawn from
     ``random.Random(seed)``, uniform on Z6, so one seed gives one report.
+    Before any argument is drawn, the residues that the check keeps, the
+    arguments and every lower bracketing at each of its leaf offsets, are
+    counted against ``max_cells`` (``DEFAULT_MAX_CELLS`` when ``None``).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -680,9 +692,14 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
     if level >= truncation:
         raise ValueError(f"level {level} needs a truncation degree above it, got {truncation}")
     count = _level_size(level, 2, max_count)
+    # level m < level keeps catalan(m) bracketings at level - m + 1 leaf offsets; m = 0 is args
+    kept = sum(catalan(m, 2) * (level - m + 1) for m in range(max(level, 1)))
+    require_cap(kept * trials * truncation, max_cells, DEFAULT_MAX_CELLS,
+                f"ring check to level {level} needs {{}} cells")
     n_vars = level + 1
+    # residues stay below 3*5 + 2*5 = 25 inside _ring_op, so int8 holds them
     args = np.array(random.Random(seed).choices(range(6), k=trials * n_vars * truncation),
-                    np.int64).reshape(trials, n_vars, truncation)
+                    np.int8).reshape(trials, n_vars, truncation)
 
     def shifted(block: np.ndarray, degree: int, coeff: int) -> np.ndarray:
         out = np.zeros_like(block)
@@ -696,8 +713,7 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
         (shifted(args[:, 0, :], dl, pow(3, dl, 6))
          + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6 for dl, dr in depths.tolist()])
     bad = []
-    # residues stay below 3*5 + 2*5 = 25 inside _ring_op, so int8 holds them
-    for ranks, got in _ring_level(args.astype(np.int8), level):
+    for ranks, got in _ring_level(args, level):
         bad += ranks[(got != want[which[ranks]]).any(axis=(1, 2))].tolist()
     mismatches = _texts(_level(level, 2)[sorted(bad)])
     return RingCheckReport(truncation, level, trials, count, tuple(mismatches))

@@ -123,7 +123,13 @@ def leaf(p: int) -> Bracketing:
 
 
 def node(*children: Bracketing) -> Bracketing:
-    """Join ``p`` bracketings of arity ``p`` under one operation symbol."""
+    """Join ``p`` bracketings of arity ``p`` under one operation symbol.
+
+    Each call joins its children's whole prefix words, so building a tree of
+    depth d one ``node`` at a time costs time quadratic in d.
+    :func:`parse_bracketing` and :func:`left_associated` build deep trees
+    without that cost.
+    """
     p = len(children)
     if p < 2:
         raise ValueError(f"a node needs at least two children, got {p}")

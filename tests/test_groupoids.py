@@ -981,6 +981,26 @@ class TestTruncatedRing:
         assert ring.eval_term(t, args) == ring_closed_form(ring, t, args)
 
 
+class TestRingOp:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_every_residue_pair_at_every_degree(self, dtype, k):
+        # row i holds residue pair (i + d) % 36 at degree d, so every degree sees all 36
+        pair = (np.arange(36)[:, None] + np.arange(k)) % 36
+        x1, x2 = (pair // 6).astype(dtype), (pair % 6).astype(dtype)
+        want = np.zeros((36, k), np.int64)
+        for i, d in itertools.product(range(36), range(1, k)):
+            want[i, d] = (3 * int(x1[i, d - 1]) + 2 * int(x2[i, d - 1])) % 6
+        cases = [(x1[i], x2[i], want[i]) for i in range(36)]  # shape (k,), views of x1 and x2
+        cases.append((x1.reshape(6, 6, k), x2.reshape(6, 6, k), want.reshape(6, 6, k)))
+        for y1, y2, w in cases:
+            before = y1.copy(), y2.copy()
+            got = groupoids._ring_op(y1, y2)
+            assert got.dtype == dtype and got.shape == w.shape
+            assert np.array_equal(got, w)
+            assert np.array_equal(y1, before[0]) and np.array_equal(y2, before[1])
+
+
 class TestRingClosedFormCheck:
     def test_levels_pass(self):
         for n in (0, 1, 3, 5):
@@ -1069,7 +1089,28 @@ class TestRingClosedFormCheck:
         finally:
             tracemalloc.stop()
         assert report.ok and report.bracketings == 4862
-        assert peak < 8 * 2**20
+        assert peak < 5 * 2**20
+
+    def test_refused_over_the_cell_cap_before_drawing(self):
+        start = time.perf_counter()
+        with mock.patch.object(groupoids.random, "Random", side_effect=AssertionError("drawn")):
+            with pytest.raises(CapExceededError) as exc:
+                a.ring_closed_form_check(16, 9, trials=20000)
+            with pytest.raises(CapExceededError):
+                a.ring_closed_form_check(10**9, 1, trials=1)
+        assert time.perf_counter() - start < 1
+        # the arguments and levels 1..8 at their leaf offsets: sum of catalan(m) * (10 - m)
+        # over m = 0..8 is 5039 bracketing offsets per trial and degree
+        assert exc.value.required == 5039 * 20000 * 16
+        assert exc.value.limit == a.DEFAULT_MAX_CELLS
+        assert a.ring_closed_form_check(16, 9, trials=50, max_cells=5039 * 50 * 16).ok
+        with pytest.raises(CapExceededError, match="ring check to level 9 needs 4031200 cells"):
+            a.ring_closed_form_check(16, 9, trials=50, max_cells=5039 * 50 * 16 - 1)
+        assert a.ring_closed_form_check(16, 0, trials=3, max_cells=48).ok
+        with pytest.raises(CapExceededError):
+            a.ring_closed_form_check(16, 0, trials=3, max_cells=47)
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            a.ring_closed_form_check(16, 3, max_cells=-1)
 
 
 class TestStructuralInvariants:
