@@ -111,9 +111,11 @@ def from_tuple(u, p: int) -> Bracketing:
     u = tuple(u)
     check_int(p, "arity", 2)
     _check_member(u, p, 1)
-    # the runs of variables between operation symbols, as to_tuple splits them
-    bounds = (1, *u, (p - 1) * len(u) + 2)
-    return _intern(p, "w".join("x" * (b - a) for a, b in zip(bounds, bounds[1:])))
+    # the k-th operation symbol follows k - 1 symbols and u_k - 1 variables
+    word = ["x"] * (p * len(u) + 1)
+    for shift, v in enumerate(u, -1):
+        word[v + shift] = "w"
+    return _intern(p, "".join(word))
 
 
 def beta_update(u, i: int, p: int) -> tuple[int, ...]:

@@ -7,12 +7,15 @@ level up along the occurrence-raising operators; a prefix in which each
 pushed partition stays inside the next one is exactly a finite window of the
 fine spectrum of some groupoid, which :func:`verify_closed` decides.
 
-:func:`delta` and the named spectra work on the word array of a level
-(``terms._level``) in row chunks: :func:`delta` ranks every operator image
-in the level above by summing entries of the ballot table (so that level is
-never built) and unions classes by min-label propagation over the pairs of
-images that each class's first member anchors; a named spectrum is a
-statistic of the rows, grouped by :func:`_group_rows`.
+:func:`delta`, :func:`verify_closed` and the named spectra work on the word
+array of a level (``terms._level``) in row chunks.  Every operator image is
+ranked in the level above by summing entries of the ballot table (so that
+level is never built), and each image is paired with the image, under the
+same operator, of its class's first member.  :func:`delta` unions classes by
+min-label propagation over those pairs; :func:`verify_closed` only compares
+each pair with the next partition, and runs the propagation just at a
+failing level, to name a witness.  A named spectrum is a statistic of the
+rows, grouped by :func:`_group_rows`.
 
 Partition blocks are written and read as row chunks as well:
 :func:`format_partition` writes the level's tuple lines class by class
@@ -143,6 +146,11 @@ class Partition:
         return f"Partition(level={self.level}, p={self.arity}, classes={self.num_classes})"
 
 
+def _class_ids(pi: Partition, dtype=np.intp) -> np.ndarray:
+    """``pi.class_of`` as an array."""
+    return np.fromiter(pi.class_of, dtype, pi.size)
+
+
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``keys`` in order of first appearance, and each row's index there."""
     code = np.zeros(len(keys), np.int64)  # the columns folded, renumbered before an overflow
@@ -171,8 +179,7 @@ def _refinement_witness(finer: Partition, coarser: Partition) -> tuple[int, int]
     The pair is the first rank whose ``coarser`` class differs from that of
     the first rank of its ``finer`` class, and that first rank.
     """
-    fine = np.array(finer.class_of, np.intp)
-    coarse = np.array(coarser.class_of, np.intp)
+    fine, coarse = _class_ids(finer), _class_ids(coarser)
     first, inverse = np.unique(fine, return_index=True, return_inverse=True)[1:]
     anchor = first[inverse.reshape(-1)]
     split = np.flatnonzero(coarse != coarse[anchor])
@@ -282,7 +289,7 @@ def _images(words: np.ndarray, n: int, p: int) -> np.ndarray:
         shifted = np.take(flat, index[:, :, None] + s * cols)
         out[:, p - 1 - s] = head[p - 1 - s] + shifted.sum(axis=1, dtype=table.dtype)
         before += shifted.sum(axis=2, dtype=table.dtype)
-    out[:, p:] = before[isx].reshape(len(words), -1)
+    out[:, p:] = np.compress(isx.ravel(), before).reshape(len(words), -1)  # faster than before[isx]
     return out
 
 
@@ -313,23 +320,14 @@ def _components(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = jumped
 
 
-def delta(pi: Partition) -> Partition:
-    """Push a level-n partition to level n+1 along all occurrence-raising operators.
+def _anchored_images(n: int, p: int, class_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The operator images of level ``n``, one row per rank, and each rank's anchor.
 
-    Two level-(n+1) bracketings end up together exactly when they are
-    connected through operator images of related pairs.  ``gamma_i`` wraps
-    a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and ``beta_j``
-    replaces its j-th ``x`` by ``"w" + "x"*p``.  The level-n words are read
-    from the level's word array in row chunks, and each image is ranked in level
-    n+1 by arithmetic on the ballot table (``terms._completions``), so
-    neither level n+1 nor any image word is built.  The first member of
-    each class anchors it: every later member's images are paired with the
-    anchor's, operator by operator, and the classes of level n+1 are the
-    connected components of those pairs (:func:`_components`).  Every
-    rank is asserted to lie in level n+1, and every level-(n+1)
-    bracketing to be an image.
+    The images are ranked by :func:`_images` in row chunks.  ``class_of``
+    holds the class ids of a level-n partition, and a rank's anchor is the
+    first member of its class.  Every image is asserted to lie in level
+    n+1, and every level-(n+1) bracketing to be an image.
     """
-    n, p = pi.level, pi.arity
     size = catalan(n + 1, p)
     words = _level(n, p)
     images = np.empty((len(words), (p - 1) * n + 1 + p), _completions(n, p).dtype)
@@ -341,15 +339,38 @@ def delta(pi: Partition) -> Partition:
     hit[images.ravel()] = True
     if not hit.all():
         raise AssertionError(f"some level-{n + 1} bracketing is not an operator image")
-    class_of = np.array(pi.class_of, dtype=np.intp)
-    anchor = np.unique(class_of, return_index=True)[1][class_of]
-    member = np.flatnonzero(anchor != np.arange(len(class_of)))
-    u, v = images[anchor[member]].ravel(), images[member].ravel()
-    del images
-    label = _components(size, u, v)
-    del u, v
-    ids = np.cumsum(label == np.arange(size, dtype=label.dtype)) - 1
-    return Partition._from_ids(n + 1, p, ids[label])
+    return images, np.unique(class_of, return_index=True)[1][class_of]
+
+
+def _pushed_ids(size: int, images: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Class ids, in order of first appearance, of the connected components of the pairs
+    that each rank's images form with its anchor's images, operator by operator."""
+    label = _components(size, images[anchor].ravel(), images.ravel())
+    return (np.cumsum(label == np.arange(size, dtype=label.dtype)) - 1)[label]
+
+
+def delta(pi: Partition) -> Partition:
+    """Push a level-n partition to level n+1 along all occurrence-raising operators.
+
+    Two level-(n+1) bracketings end up together exactly when they are
+    connected through operator images of related pairs.  ``gamma_i`` wraps
+    a word as ``"w" + "x"*(i-1) + word + "x"*(p-i)``, and ``beta_j``
+    replaces its j-th ``x`` by ``"w" + "x"*p``.  The level-n words are read
+    from the level's word array in row chunks, and each image is ranked in level
+    n+1 by arithmetic on the ballot table (``terms._completions``), so
+    neither level n+1 nor any image word is built.  The first member of
+    each class anchors it: every member's images are paired with the
+    anchor's, operator by operator (:func:`_anchored_images`), and the
+    classes of level n+1 are the connected components of those pairs,
+    joined by min-label propagation (:func:`_components`).  Every rank is
+    asserted to lie in level n+1, and every level-(n+1) bracketing to be
+    an image.
+    """
+    n, p = pi.level, pi.arity
+    images, anchor = _anchored_images(n, p, _class_ids(pi))
+    ids = _pushed_ids(catalan(n + 1, p), images, anchor)
+    del images, anchor
+    return Partition._from_ids(n + 1, p, ids)
 
 
 @dataclass(frozen=True)
@@ -366,14 +387,44 @@ class ClosureReport:
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
+def _pairs_agree(images: np.ndarray, anchor: np.ndarray, class_of: np.ndarray) -> bool:
+    """Whether each rank's images lie in the classes (``class_of``) of its anchor's images.
+
+    The class ids are gathered at the images in row chunks, and each chunk
+    is compared with its anchors' rows, which an earlier chunk or this one
+    filled: a rank's anchor is never a later rank.
+    """
+    seen = np.empty(images.shape, class_of.dtype)
+    step = max(1, _CHUNK_CELLS // images.shape[1])
+    for lo in range(0, len(seen), step):
+        np.take(class_of, images[lo:lo + step], out=seen[lo:lo + step])
+        if not np.array_equal(seen[lo:lo + step], seen[anchor[lo:lo + step]]):
+            return False
+    return True
+
+
 def verify_closed(sigma: SpectrumPrefix) -> ClosureReport:
-    """Check that pushing each level up stays within the next partition."""
+    """Check that pushing each level up stays within the next partition.
+
+    The classes of ``delta(sigma[n])`` are the connected components of the
+    pairs of images that a member and its anchor share
+    (:func:`_anchored_images`), so they refine ``sigma[n + 1]`` exactly
+    when both images of every pair lie in one of its classes
+    (:func:`_pairs_agree`).  The pushed partition is built, by min-label
+    propagation, only at the first level where a pair is split, from the
+    images in hand, to name the witness.
+    """
+    p = sigma.arity
+    class_of = _class_ids(sigma.partitions[0])
     for n in range(sigma.horizon):
-        pushed = delta(sigma.partitions[n])
-        witness = _refinement_witness(pushed, sigma.partitions[n + 1])
-        if witness is not None:
-            rows = _level(n + 1, sigma.arity)[list(witness)]
+        upper = sigma.partitions[n + 1]
+        images, anchor = _anchored_images(n, p, class_of)
+        class_of = _class_ids(upper, np.int32 if upper.size < 2**31 else np.intp)
+        if not _pairs_agree(images, anchor, class_of):
+            pushed = Partition._from_ids(n + 1, p, _pushed_ids(upper.size, images, anchor))
+            rows = _level(n + 1, p)[list(_refinement_witness(pushed, upper))]
             return ClosureReport(False, n, tuple(map(tuple, _tuple_columns(rows, n + 1).tolist())))
+        del images, anchor  # not held while the next level is ranked
     return ClosureReport(True)
 
 

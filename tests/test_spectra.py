@@ -422,6 +422,97 @@ class TestVerifyClosed:
         rank = {a.to_tuple(u): r for r, u in enumerate(a.enumerate_bracketings(5, 2))}
         assert pushed.class_of[rank[s]] == pushed.class_of[rank[t]]
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_the_delta_route(self, data):
+        p = data.draw(st.integers(2, 5))
+        sigma = data.draw(prefixes(p))
+        report = a.verify_closed(sigma)
+        assert (report.closed, report.level, report.witness) == verify_closed_by_delta(sigma)
+
+    @pytest.mark.parametrize("cells", [8, 64])
+    def test_matches_the_delta_route_in_small_chunks(self, monkeypatch, cells):
+        # many row chunks per level, so a rank's anchor often sits in an earlier chunk
+        cases = [a.build_prefix(lambda n: a.left_factor_sigma(n, 2), 7),
+                 a.build_prefix(lambda n: a.tail_tuple_sigma(n, 1, 3), 5),
+                 SpectrumPrefix([Partition.full(n, 2) for n in range(6)] + [a.tau(6)]),
+                 SpectrumPrefix([a.left_factor_sigma(n, 2) for n in range(6)]
+                                + [a.left_factor_sigma(6, 3)])]
+        want = [verify_closed_by_delta(sigma) for sigma in cases]
+        monkeypatch.setattr(spectra, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(terms, "_CHUNK_CELLS", cells)
+        for sigma, expected in zip(cases, want):
+            report = a.verify_closed(sigma)
+            assert (report.closed, report.level, report.witness) == expected
+
+    def test_each_level_is_ranked_once(self, monkeypatch):
+        # the failing level's images give the witness too; no delta ranks them again
+        ranked = []
+        images = spectra._images
+
+        def counted(words, n, p):
+            ranked.append(n)
+            return images(words, n, p)
+
+        monkeypatch.setattr(spectra, "_images", counted)
+        for p, top in ((2, 6), (3, 4)):
+            ranked.clear()
+            parts = [Partition.full(n, p) for n in range(top)] + [Partition.equality(top, p)]
+            report = a.verify_closed(SpectrumPrefix(parts))
+            assert not report.closed and report.level == top - 1
+            assert ranked == list(range(top))  # one row chunk per level at these sizes
+
+    def test_peak_memory(self):
+        # the check traced 3.75 MiB here while it built each pushed partition
+        sigma = a.build_prefix(lambda n: a.left_factor_sigma(n, 2), 11)
+        a.verify_closed(sigma)  # caches the levels and the ballot tables
+        tracemalloc.start()
+        try:
+            assert a.verify_closed(sigma).closed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * 2**20
+
+
+def verify_closed_by_delta(sigma):
+    """The closure check by pushing each level with ``delta``: its oracle.
+
+    Returns ``(closed, level, witness)`` with the witness pair's insertion
+    tuples read off the enumerated trees.
+    """
+    for n in range(sigma.horizon):
+        witness = spectra._refinement_witness(a.delta(sigma[n]), sigma[n + 1])
+        if witness is not None:
+            trees = a.enumerate_bracketings(n + 1, sigma.arity)
+            return False, n, tuple(a.to_tuple(trees[r]) for r in witness)
+    return True, None, None
+
+
+@st.composite
+def prefixes(draw, p):
+    """A prefix of arity ``p``: random levels, pushed-and-merged levels, or full levels
+    topped by a random two-class level."""
+    top = draw(st.integers(1, {2: 6, 3: 4, 4: 3, 5: 3}[p]))
+    kind = draw(st.sampled_from(["random", "merged", "planted"]))
+
+    def labels(level, k):
+        size = a.catalan(level, p)
+        return draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+
+    if kind == "random":
+        return SpectrumPrefix([Partition(n, p, labels(n, draw(st.integers(1, 4))))
+                               for n in range(top + 1)])
+    if kind == "planted":
+        return SpectrumPrefix([Partition.full(n, p) for n in range(top)]
+                              + [Partition(top, p, labels(top, 2))])
+    parts = [Partition.full(0, p)]
+    for n in range(1, top + 1):
+        pushed = a.delta(parts[-1])
+        merge = [draw(st.integers(0, c)) for c in range(pushed.num_classes)]
+        parts.append(Partition(n, p, [merge[c] for c in pushed.class_of]))
+    return SpectrumPrefix(parts)
+
 
 class TestMeet:
     def test_identity_and_absorbing(self):
