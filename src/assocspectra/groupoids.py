@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (CapExceededError, SchemaError, check_int, check_nonnegative, require_cap,
                      require_level_cap)
-from .spectra import (Partition, SpectrumPrefix, _components, _depths, _group_rows, _images,
-                      _level_rows, verify_closed)
+from .spectra import (Partition, SpectrumPrefix, _class_ids, _components, _depths, _group_rows,
+                      _images, _level_rows, verify_closed)
 from .terms import (
     _CHUNK_CELLS,
     Bracketing,
@@ -52,21 +52,24 @@ class Groupoid:
     """A finite carrier with one p-ary operation stored as a flat table.
 
     The flat index of ``(a_1, ..., a_p)`` is ``a_1*size**(p-1) + ... + a_p``.
+    The operation is kept once, as a read-only numpy array; a writable array
+    is copied, a read-only one of the carrier's dtype is kept as given.
     Names are cosmetic and do not take part in equality.
     """
 
-    __slots__ = ("arity", "size", "table", "names", "_array")
+    __slots__ = ("arity", "size", "names", "_array")
 
     def __init__(self, arity: int, size: int, table, names=None):
         check_int(arity, "arity", 2)
         if arity > _MAX_ARITY:
             raise ValueError(f"arity {arity} is above {_MAX_ARITY}, the most that can be tabulated")
         check_int(size, "carrier size", 1)
-        table = tuple(table)
+        checked = isinstance(table, np.ndarray) and table.ndim == 1 and table.dtype.kind in "iu"
+        table = table if checked else tuple(table)  # np.asarray([True, 1]) is an int64 array
         # size**arity > len(table) once 2**arity does; never form a giant power
         if (size > 1 and arity > len(table).bit_length()) or len(table) != size ** arity:
             raise ValueError(f"table has {len(table)} entries, expected {size}^{arity}")
-        for e in table:
+        for e in (table.min(), table.max()) if checked else table:
             if not isinstance(e, (int, np.integer)) or isinstance(e, bool):
                 raise ValueError(f"table entries must be integers, got {e!r}")
             if not 0 <= e < size:
@@ -77,17 +80,23 @@ class Groupoid:
                 raise ValueError(f"{len(names)} names for {size} elements")
         self.arity = arity
         self.size = size
-        self.table = tuple(map(int, table))
         self.names = names
-        array = np.array(self.table, dtype=np.min_scalar_type(size - 1)).reshape((size,) * arity)
-        array.setflags(write=False)
-        self._array = array
+        array = np.asarray(table, np.min_scalar_type(size - 1))
+        if array is table and table.flags.writeable:  # never share an array the caller can write
+            array = array.copy()
+        self._array = array.reshape((size,) * arity)
+        self._array.setflags(write=False)
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        """The flat operation table as a tuple of ints, built from the array on each call."""
+        return tuple(self._array.ravel().tolist())
 
     def apply(self, *args: int) -> int:
         """Operation value at ``args``."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.table[_flat_index(args, self.size)]
+        return self._array.item(_flat_index(args, self.size))
 
     def name_of(self, element: int) -> str:
         return self.names[element] if self.names else str(element)
@@ -95,7 +104,7 @@ class Groupoid:
     def __eq__(self, other):
         if not isinstance(other, Groupoid):
             return NotImplemented
-        return (self.arity, self.size, self.table) == (other.arity, other.size, other.table)
+        return self is other or np.array_equal(self._array, other._array)  # shape (size,)*arity
 
     def __repr__(self):
         return f"Groupoid(p={self.arity}, size={self.size})"
@@ -127,8 +136,7 @@ def load_groupoid(doc) -> Groupoid:
     p, size, table, names = doc["p"], doc["size"], doc["table"], doc.get("names")
     check_int(p, "'p'", 2, SchemaError)
     check_int(size, "'size'", 1, SchemaError)
-    if not isinstance(table, (list, tuple)) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in table):
+    if not isinstance(table, (list, tuple)):  # the constructor checks the entries
         raise SchemaError("'table' must be an array of integers")
     if names is not None and (not isinstance(names, (list, tuple))
                               or not all(isinstance(nm, str) for nm in names)):
@@ -141,7 +149,7 @@ def load_groupoid(doc) -> Groupoid:
 
 def dump_groupoid(g: Groupoid) -> dict:
     """Document form of ``g``; inverse of :func:`load_groupoid`."""
-    doc = {"p": g.arity, "size": g.size, "table": list(g.table)}
+    doc = {"p": g.arity, "size": g.size, "table": g._array.ravel().tolist()}
     if g.names:
         doc["names"] = list(g.names)
     return doc
@@ -451,11 +459,8 @@ def direct_product(g: Groupoid, h: Groupoid, *, max_cells: int | None = None) ->
     require_cap(size ** p, max_cells, DEFAULT_MAX_CELLS, "product table needs {} cells")
     first, second = np.divmod(np.arange(size), h.size)
     table = _gather(g._array * np.intp(h.size), [first] * p) + _gather(h._array, [second] * p)
-    names = None
-    if g.names or h.names:
-        names = [f"({g.name_of(a)},{h.name_of(b)})"
-                 for a in range(g.size) for b in range(h.size)]
-    return Groupoid(p, size, table.tolist(), names)
+    names = [f"({g.name_of(a)},{h.name_of(b)})" for a in range(g.size) for b in range(h.size)]
+    return Groupoid(p, size, table, names if g.names or h.names else None)
 
 
 def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
@@ -479,25 +484,19 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
     report = verify_closed(sigma)
     if not report.closed:
         raise ValueError(f"prefix is not closed (violation at level {report.level})")
-    representatives: list[str] = []  # prefix words
-    names: list[str] = []
-    element: dict[str, int] = {}  # word -> class below the cut; a word not listed is "*"
+    element, names = np.zeros((cut, catalan(cut - 1, p)), np.intp), []  # by level and rank
     for m in range(cut):
-        base = len(representatives)
-        for word, c in zip(_texts(_level(m, p)), sigma.partitions[m].class_of):
-            if base + c == len(representatives):  # class ids count up by first appearance
-                representatives.append(word)
-                names.append(f"[{word}]")
-            element[word] = base + c
-    star = len(representatives)
-    names.append("*")
-    table = []
-    for combo in itertools.product(range(size), repeat=p):
-        if star in combo:
-            table.append(star)
-            continue
-        table.append(element.get("w" + "".join(representatives[e] for e in combo), star))
-    return Groupoid(p, size, table, names)
+        ids = _class_ids(sigma.partitions[m])
+        element[m, :len(ids)] = len(names) + ids
+        names += [f"[{w}]" for w in _texts(_level(m, p)[np.unique(ids, return_index=True)[1]])]
+    # closure makes every bracketing of a key write one element; products reaching the cut stay *
+    table = np.full(size ** p, size - 1, np.min_scalar_type(size - 1))
+    for m, chunks in enumerate(itertools.islice(_children_up_to(p), cut - 1), 1):
+        for lo, ranks, levels in chunks:
+            at = np.ravel_multi_index(element[levels, ranks].T, (size,) * p)
+            table[at] = element[m, lo:lo + len(ranks)]
+    table.setflags(write=False)  # the groupoid keeps it as it is
+    return Groupoid(p, size, table, names + ["*"])
 
 
 # ---------------------------------------------------------------------------

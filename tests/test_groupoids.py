@@ -111,11 +111,32 @@ class TestLoadGroupoid:
     def test_entry_range(self):
         with pytest.raises(SchemaError):
             a.load_groupoid({"p": 2, "size": 2, "table": [0, 1, 2, 0]})
-        # the constructor coerces no entry: a float, a string or a bool is refused
+        # the constructor coerces no entry: a float, a string or a bool is refused, and a
+        # document's entries are checked by the same scan
         for bad in (0.9, "1", True):
             with pytest.raises(ValueError, match="table entries must be integers"):
                 Groupoid(2, 2, [bad, 1, 1, 0])
+            with pytest.raises(SchemaError, match="table entries must be integers"):
+                a.load_groupoid({"p": 2, "size": 2, "table": [bad, 1, 1, 0]})
+        for bad in (np.array([0.0, 1.0, 1.0, 0.0]), np.array([False, True, True, False])):
+            with pytest.raises(ValueError, match="table entries must be integers"):
+                Groupoid(2, 2, bad)
         assert Groupoid(2, 2, np.array([0, 1, 1, 0])).table == (0, 1, 1, 0)
+        # an integer array is checked by one range test
+        for bad, entry in ((np.array([0, 1, 2, 0]), 2), (np.array([0, -1, 1, 0]), -1)):
+            with pytest.raises(ValueError, match=f"table entry {entry} outside the carrier 0..1"):
+                Groupoid(2, 2, bad)
+
+    def test_one_array_holds_the_operation(self):
+        assert "table" not in Groupoid.__slots__
+        table = np.array([0, 1, 1, 0], np.uint8)
+        g = Groupoid(2, 2, table)
+        table[0] = 1  # a writable array is copied
+        assert g.table == (0, 1, 1, 0) and g.apply(0, 0) == 0
+        assert not g._array.flags.writeable
+        table.setflags(write=False)  # a read-only array of the carrier's dtype is kept
+        assert np.shares_memory(Groupoid(2, 2, table)._array, table)
+        assert Groupoid(2, 2, table) != g == Groupoid(2, 2, (0, 1, 1, 0))
 
     def test_missing_and_unknown_keys(self):
         with pytest.raises(SchemaError):
@@ -820,6 +841,19 @@ class TestDirectProduct:
         prod = a.direct_product(g, h)
         assert (prod.table, prod.names) == (tuple(table), None if names is None else tuple(names))
 
+    def test_product_table_is_not_copied_into_python_ints(self):
+        # 1,048,576 cells of two bytes; a list of Python ints beside them took 57 MiB
+        rng = random.Random(0)
+        g, h = (Groupoid(2, 32, [rng.randrange(32) for _ in range(1024)]) for _ in range(2))
+        tracemalloc.start()
+        try:
+            prod = a.direct_product(g, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prod.size == 1024 and prod.apply(1023, 1) == g.apply(31, 0) * 32 + h.apply(31, 1)
+        assert peak <= 32 * 2**20
+
     def test_encoding(self):
         g, h = a.gallery("sheffer"), a.gallery("egg4")
         prod = a.direct_product(g, h)
@@ -829,7 +863,69 @@ class TestDirectProduct:
             assert got == g.apply(x1, x2) * 4 + h.apply(y1, y2)
 
 
+def _quotient_oracle(sigma, cut):
+    """``(arity, size, table, names)`` of the quotient, filled cell by cell from words.
+
+    Each class below the cut is represented by its first bracketing's prefix
+    word; the cell of a tuple of classes holds the class of the word that
+    joins their representatives, or ``*`` when that word reaches the cut.
+    """
+    p = sigma.arity
+    representatives, names, element = [], [], {}
+    for m in range(cut):
+        base = len(representatives)
+        for word, c in zip(terms._texts(terms._level(m, p)), sigma.partitions[m].class_of):
+            if base + c == len(representatives):  # class ids count up by first appearance
+                representatives.append(word)
+                names.append(f"[{word}]")
+            element[word] = base + c
+    star = len(representatives)
+    table = []
+    for combo in itertools.product(range(star + 1), repeat=p):
+        if star in combo:
+            table.append(star)
+        else:
+            table.append(element.get("w" + "".join(representatives[e] for e in combo), star))
+    return p, star + 1, tuple(table), tuple(names + ["*"])
+
+
+@st.composite
+def closed_prefixes(draw):
+    """A closed prefix that is full from its cut on, and its cut.
+
+    Below the cut it is equality, a left-factor or tail-tuple spectrum, or
+    the fine spectrum of a random groupoid; each of these is closed, and stays
+    closed when made full from a level on.
+    """
+    family = draw(st.sampled_from(["equality", "left_factor", "tail_tuple", "fine"]))
+    p = 2 if family == "left_factor" else draw(st.sampled_from([2, 3, 4]))
+    cut = draw(st.integers(2, 6 if p == 2 else 4))
+    k = draw(st.integers(1, 3 if family == "left_factor" else 2))
+    if family == "fine":
+        size = draw(st.integers(1, 3))
+        g = Groupoid(p, size, draw(st.lists(st.integers(0, size - 1), min_size=size**p,
+                                            max_size=size**p)))
+
+    def level(n):
+        if n >= cut:
+            return Partition.full(n, p)
+        if family == "equality":
+            return Partition.equality(n, p)
+        if family == "left_factor":
+            return a.left_factor_sigma(n, k)
+        return a.tail_tuple_sigma(n, k, p) if family == "tail_tuple" else a.fine_level(g, n)
+
+    return a.build_prefix(level, cut + draw(st.integers(0, 1))), cut
+
+
 class TestQuotient:
+    @settings(max_examples=40, deadline=None)
+    @given(closed_prefixes())
+    def test_matches_the_cell_by_cell_oracle(self, case):
+        sigma, cut = case
+        g = a.quotient_from_spectrum(sigma, cut)
+        assert (g.arity, g.size, g.table, g.names) == _quotient_oracle(sigma, cut)
+
     def _prefix(self, cut, horizon=6):
         return SpectrumPrefix(
             [Partition.equality(n, 2) for n in range(cut)]
