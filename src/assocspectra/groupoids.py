@@ -28,10 +28,12 @@ from .spectra import (Partition, SpectrumPrefix, _class_ids, _components, _depth
 from .terms import (
     _CHUNK_CELLS,
     Bracketing,
-    _children_up_to,
+    _children,
     _fold,
     _level,
     _level_size,
+    _row_chunks,
+    _starts,
     _texts,
     _unrank,
     catalan,
@@ -299,20 +301,22 @@ def _walk(g: Groupoid, top: int):
     The moment at offset ``k`` of a function ``T`` is ``M_k[z] = sum of prod_v
     r[k + v, x_v] over the x with T(x) = z``, mod P, for fixed weights
     ``r[v, a]`` in ``[1, P)`` (level 0's moments); a level-n class takes the
-    offsets ``0..(p-1)*(top-n)`` from its first key.  The keys that closure
-    forces together are joined first (:func:`_forced_unions`), and each union
-    is classified by its least key alone.  Union representatives that share
-    their offset-0 moment are compared by tables, gathered from class tables
-    that are built when first needed and kept.  A level yields ``(N,)`` class
-    ids counted up by first appearance and ``(classes, offsets, size)``
-    moments.
+    offsets ``0..(p-1)*(top-n)`` from its first key.  A level's keys are one
+    gather of the lower levels' class ids at its child index (``_children``).
+    The keys that closure forces together are joined first
+    (:func:`_forced_unions`), and each union is classified by its least key
+    alone.  The unions' representatives are grouped by one folded column,
+    ``sum_z (f[z] * M_0[z] mod P)``, over a weight row ``f`` that no moment
+    multiplies by.  Equal tables have equal folds; representatives that share a
+    fold are compared by tables (a collision costs a gather, never a wrong
+    class), gathered from class tables built when first needed and kept.  A level
+    yields ``(N,)`` class ids counted up by first appearance and ``(classes,
+    offsets, size)`` moments.
     """
     if top < 0:
         return
     p, op = g.arity, g._array
-    # the weights r[v, a]; library calls load only numpy's core modules (numpy.random: 6 MiB)
-    weights = random.Random(0).randbytes(8 * ((p - 1) * top + 1) * g.size)
-    flat = (np.frombuffer(weights, np.uint64) % (_P - 1) + 1).astype(np.int64).reshape(-1, g.size)
+    flat, fold = _weights(p, g.size, top)
     yield np.zeros(1, np.intp), flat[None]  # flat: every kept class's moments, a row an offset
     row, length = np.zeros(1, np.intp), np.ones(1, np.intp)  # per class: its row 0, its width
     first_keys: list = [()]  # per class: the child classes of its first key
@@ -323,17 +327,16 @@ def _walk(g: Groupoid, top: int):
             tables[first_keys[c]] = _gather(op, [table(k) for k in first_keys[c]])
         return tables[first_keys[c]]
 
-    class_ids, start = np.zeros(1, np.intp), [0]  # of each bracketing below; each level's start
+    class_ids = np.zeros(1, np.intp)  # of each bracketing below, the levels end to end
     # the level below's key of each bracketing and class of each key
     below = np.zeros(1, np.intp), np.zeros(1, np.intp)
-    for n, chunks in enumerate(itertools.islice(_children_up_to(p), top), 1):
-        keys, which = _group_rows(np.concatenate(
-            [class_ids[np.array(start)[levels] + ranks] for _, ranks, levels in chunks]))
+    for n in range(1, top + 1):
+        keys, which = _group_rows(class_ids[_children(n, p)])
         label = _forced_unions(n, p, *below, which, len(keys))
         reps = np.flatnonzero(label == np.arange(len(keys)))  # each union's least key
         offsets = (p - 1) * (top - n) + 1
         moments = _moments(op, flat, row[keys[reps]], length[keys[reps]], offsets)
-        group = _group_rows(moments[:, 0])[1]
+        group = _group_rows((moments[:, 0] * fold % _P).sum(axis=1, keepdims=True))[1]
         shared = np.flatnonzero(np.bincount(group)[group] > 1)
         shared = shared[np.argsort(group[shared], kind="stable")]  # by moment, then by key
         sub = np.zeros(len(reps), np.intp)  # which distinct table of its moment a union has
@@ -348,20 +351,27 @@ def _walk(g: Groupoid, top: int):
                     distinct.append(values)
                     if n < top:  # the first key of a class: keep its table
                         tables[key] = values
-        # group counts up by first appearance, so it is the (moment, table) class when no
-        # moment holds two tables; regrouping the pairs took 7% of the fine workload
+        # group counts up by first appearance, so it is the (fold, table) class when no
+        # fold holds two tables; regrouping the pairs took 7% of the fine workload
         rep_class = _group_rows(np.stack([group, sub], axis=1))[1] if sub.any() else group
         key_class = rep_class[np.searchsorted(reps, label)]
         firsts = np.unique(rep_class, return_index=True)[1]
         yield key_class[which], moments[firsts]
         if n < top:
             below = which, key_class
-            start.append(len(class_ids))
             class_ids = np.concatenate([class_ids, len(row) + key_class[which]])
             first_keys += map(tuple, keys[reps[firsts]].tolist())
             row = np.concatenate([row, len(flat) + offsets * np.arange(len(firsts))])
             length = np.concatenate([length, np.full(len(firsts), (p - 1) * n + 1)])
             flat = np.concatenate([flat, moments[firsts].reshape(-1, g.size)])
+
+
+def _weights(p: int, size: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The moments' weights ``r[v, a]`` in ``[1, P)``, a row per offset v = 0..(p-1)*top, and the
+    fold's, one more row of the same bytes (``random``: numpy.random would load 6 MiB)."""
+    weights = random.Random(0).randbytes(8 * ((p - 1) * top + 2) * size)
+    rows = (np.frombuffer(weights, np.uint64) % (_P - 1) + 1).astype(np.int64).reshape(-1, size)
+    return rows[:-1], rows[-1]
 
 
 def _forced_unions(n: int, p: int, below_which: np.ndarray, below_class: np.ndarray,
@@ -458,7 +468,10 @@ def direct_product(g: Groupoid, h: Groupoid, *, max_cells: int | None = None) ->
     size = g.size * h.size
     require_cap(size ** p, max_cells, DEFAULT_MAX_CELLS, "product table needs {} cells")
     first, second = np.divmod(np.arange(size), h.size)
-    table = _gather(g._array * np.intp(h.size), [first] * p) + _gather(h._array, [second] * p)
+    table = _gather(  # both parts in the carrier dtype, which holds a*|h| + b; kept as it is
+        (g._array * np.intp(h.size)).astype(np.min_scalar_type(size - 1)), [first] * p)
+    table += _gather(h._array, [second] * p)
+    table.setflags(write=False)
     names = [f"({g.name_of(a)},{h.name_of(b)})" for a in range(g.size) for b in range(h.size)]
     return Groupoid(p, size, table, names if g.names or h.names else None)
 
@@ -484,17 +497,17 @@ def quotient_from_spectrum(sigma: SpectrumPrefix, cut: int) -> Groupoid:
     report = verify_closed(sigma)
     if not report.closed:
         raise ValueError(f"prefix is not closed (violation at level {report.level})")
-    element, names = np.zeros((cut, catalan(cut - 1, p)), np.intp), []  # by level and rank
+    levels, names = [], []  # per level: each bracketing's element
     for m in range(cut):
         ids = _class_ids(sigma.partitions[m])
-        element[m, :len(ids)] = len(names) + ids
+        levels.append(len(names) + ids)
         names += [f"[{w}]" for w in _texts(_level(m, p)[np.unique(ids, return_index=True)[1]])]
+    element = np.concatenate(levels)  # the levels end to end, as the child index reads them
     # closure makes every bracketing of a key write one element; products reaching the cut stay *
     table = np.full(size ** p, size - 1, np.min_scalar_type(size - 1))
-    for m, chunks in enumerate(itertools.islice(_children_up_to(p), cut - 1), 1):
-        for lo, ranks, levels in chunks:
-            at = np.ravel_multi_index(element[levels, ranks].T, (size,) * p)
-            table[at] = element[m, lo:lo + len(ranks)]
+    for m in range(1, cut):
+        for lo, kids in _row_chunks(_children(m, p)):
+            table[np.ravel_multi_index(element[kids].T, (size,) * p)] = levels[m][lo:lo + len(kids)]
     table.setflags(write=False)  # the groupoid keeps it as it is
     return Groupoid(p, size, table, names + ["*"])
 
@@ -733,13 +746,15 @@ def _ring_level(args: np.ndarray, level: int):
         yield np.zeros(1, np.intp), args[None, :, 0]
         return
     below = [args[None]]  # per level: values at leaf offsets 0..level-m
-    for m, chunks in enumerate(itertools.islice(_children_up_to(2), level), 1):
-        offsets = level - m + 1
+    for m in range(1, level + 1):
+        offsets, starts = level - m + 1, _starts(m, 2)
         if m < level:
             kept = np.empty((catalan(m, 2), args.shape[0], offsets, args.shape[2]), args.dtype)
             below.append(kept)
         step = max(1, _CHUNK_CELLS // (args.shape[0] * offsets * args.shape[2]))
-        for lo, ranks, levels in chunks:
+        for lo, kids in _row_chunks(_children(m, 2)):  # a child's level and its rank there
+            levels = np.searchsorted(starts, kids, "right") - 1
+            ranks = kids - starts[levels]
             for left in range(m):
                 block = np.flatnonzero(levels[:, 0] == left)
                 for rows in np.split(block, range(step, len(block), step)):

@@ -550,19 +550,18 @@ def coatom_census(p: int, *, max_count: int | None = None) -> int:
 
     Probes every 2-class partition of level 2 (one bracketing per child
     position, so a p-element set) at horizon 4; closure beyond the horizon is
-    forced because the full partition pushes to the full partition.
+    forced because the full partition pushes to the full partition.  Each candidate is
+    checked as :func:`verify_closed` would, on the images of levels 0-3, ranked once.
     """
     if not isinstance(p, int) or isinstance(p, bool) or not 2 <= p <= 6:
         raise ValueError(f"census supported for arities 2..6, got {p!r}")
-    m = catalan(2, p)
-    full = {i: Partition.full(i, p, max_count=max_count) for i in (0, 1, 3, 4)}
+    ids = [np.zeros(p if n == 2 else _level_size(n, p, max_count), np.intp) for n in range(5)]
+    images = [_anchored_images(n, p, ids[n])[0] for n in range(4)]
     count = 0
-    for mask in range(1, 2 ** (m - 1)):
-        labels = [0] + [(mask >> (e - 1)) & 1 for e in range(1, m)]
-        candidate = SpectrumPrefix(
-            [full[0], full[1], Partition(2, p, labels), full[3], full[4]])
-        if verify_closed(candidate).closed:
-            count += 1
+    for mask in range(1, 2 ** (p - 1)):
+        ids[2] = (mask << 1 >> np.arange(p)) & 1  # bracketing e >= 1 in class bit e-1 of mask
+        count += all(_pairs_agree(images[n], np.unique(ids[n], return_index=True)[1][ids[n]],
+                                  ids[n + 1]) for n in range(4))
     return count
 
 

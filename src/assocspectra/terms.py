@@ -12,9 +12,10 @@ canonical order: lexicographic on prefix words with ``w`` before ``x``,
 which is also lexicographic on insertion tuples.  Only ``_level`` stores a
 level, as a read-only ``uint8`` array of prefix words, one row per rank;
 the ballot table ``_completions`` ranks and unranks words.  The canonical
-order of the lower trees (``_orders``) gives each level's child ranks in row
-chunks (``_children_up_to``), by which binary infix rows are copied from the
-lower levels' rows (:func:`_infix_rows`).  Trees are built only on request.
+order of the lower trees (``_orders``) gives each level's children as flat
+indices into the lower levels (``_children``), cached per level like ``_level``
+(at p = 2 levels up to 13 hold about 8 MB), by which binary infix rows are
+copied from the lower levels' rows (:func:`_infix_rows`).  Trees are built only on request.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ DEFAULT_MAX_BRACKETINGS = 10**6
 _W, _X = ord("w"), ord("x")  # the symbols' bytes in a word array
 # array cells that one row chunk of a word array holds
 _CHUNK_CELLS = 1 << 16
+# each level's child index by (level, arity), kept for the life of the process like _level's
+_child_index: dict[tuple[int, int], np.ndarray] = {}
 
 
 class Bracketing:
@@ -285,62 +288,56 @@ def _level(n: int, p: int) -> np.ndarray:
     return words
 
 
-def _children_up_to(p: int):
-    """Yield the children of levels 1, 2, ..., a level as ``(first rank, ranks, levels)`` chunks.
+def _starts(n: int, p: int) -> np.ndarray:
+    """The flat index of the first bracketing of each level 0..n: the bracketings below it."""
+    return np.array([0, *accumulate(catalan(m, p) for m in range(n))], np.int64)
 
-    ``ranks`` and ``levels`` are ``(rows, p)`` arrays of ``_CHUNK_CELLS`` cells
-    at most, or of one row.  Level n lists its nodes by first child, over the
-    trees up to level n-1 in canonical order (:func:`_orders`), then by the
-    rest.  A rank picks each child by the running counts of the forests that
-    the trees head (forests of d < p trees of total t number ``count_m(t, d,
-    p)``, read below the clip of the ballot table), and keeps what is left.
 
-    Level n adds the block of the trees up to n-1 when it is first asked
-    for, and a child position counts its forests over the blocks added since
-    a chunk last reached it, so a consumer that stops at level n has built
-    nothing for the levels above it.
+def _children(n: int, p: int) -> np.ndarray:
+    """The children of level ``n``'s bracketings, a read-only ``(catalan(n, p), p)`` array.
+
+    Row r holds the children of rank r, left to right, as flat indices into
+    levels 0..n-1 laid end to end in canonical order (:func:`_starts`); the
+    dtype is int32 unless those levels hold 2**31 bracketings or more.  A miss
+    builds every missing level up to n in one pass.  Level m lists its nodes by
+    first child, over the trees up to level m-1 in canonical order (:func:`_orders`),
+    then by the rest.  A rank picks each child by the running counts of the forests
+    that the trees head (forests of d < p trees of total t number ``count_m(t, d,
+    p)``, below the clip of the ballot table), ``_CHUNK_CELLS`` rows at a time.
     """
-    orders = _orders(p)
-    # the trees up to each total t, a block per t: the total each leaves, its rank in its level
-    left, in_level, starts = np.zeros(0, np.int16), np.zeros(0, np.int32), np.zeros(0, np.intp)
-    runs = []  # per child position i: the forests after child i, counted up over the trees
-    step = max(1, _CHUNK_CELLS // p)
-
-    def level(n: int):
-        size = catalan(n, p)
-        for lo in range(0, size, step):
-            rank = np.arange(lo, min(lo + step, size))  # a row's rank among its rest's forests
-            rest = np.full(len(rank), n - 1)  # the total of each row's rest
-            ranks, levels = np.zeros((2, len(rank), p), np.intp)  # one allocation for both
+    if (n, p) in _child_index:
+        return _child_index[n, p]
+    base = _starts(n, p)
+    # the trees up to each total t, a block per t: the total each leaves, its flat index
+    left, flat, blocks = np.zeros(0, np.int16), np.zeros(0, np.int64), np.zeros(0, np.intp)
+    for m, order in enumerate(islice(_orders(p), n), 1):  # order: the trees up to m - 1
+        blocks = np.append(blocks, len(left))
+        left = np.concatenate([left, m - 1 - order])
+        # the block holds levels 0..m-1 whole, so a tree's place by level is its flat index
+        flat = np.concatenate([flat, np.empty(len(order), np.int64)])
+        flat[blocks[-1] + np.argsort(order, kind="stable")] = np.arange(len(order))
+        if (m, p) in _child_index:
+            continue
+        index = np.zeros((catalan(m, p), p), np.int32 if base[m] < 2**31 else np.int64)
+        runs = []  # per child position i: the forests after child i, counted up over the trees
+        for lo in range(0, len(index), _CHUNK_CELLS):
+            rank = np.arange(lo, min(lo + _CHUNK_CELLS, len(index)))  # among the rest's forests
+            rest = np.full(len(rank), m - 1, np.int16)  # the total of each row's rest
             for i in range(p - 1):
-                if not rest.any():  # every rest is all variables
+                if not rest.any():  # the rest are variables, index 0, as the rows start
                     break
-                if i == len(runs):
-                    runs.append(np.zeros(1, np.int64))
-                if len(runs[i]) <= len(left):  # blocks added since position i was counted
-                    # entry [p*t + d, t + 1] is count_m(t, d, p), d = p-1-i, below the clip
-                    heads = _completions(len(starts) - 1, p)[p - 1 - i::p, 1:].diagonal()
-                    more = heads.astype(np.int64)[left[len(runs[i]) - 1:]]
-                    np.cumsum(more, out=more)
-                    more += runs[i][-1]
-                    runs[i] = np.concatenate([runs[i], more])
-                rank += runs[i][starts[rest]]
+                if i == len(runs):  # entry [p*t + d, t + 1] is count_m(t, d, p), d = p-1-i
+                    heads = _completions(m - 1, p)[p - 1 - i::p, 1:].diagonal()
+                    runs.append(np.concatenate([[0], np.cumsum(heads[left], dtype=np.int64)]))
+                rank += runs[i][blocks[rest]]
                 child = np.searchsorted(runs[i], rank, "right") - 1
                 rank -= runs[i][child]
-                ranks[:, i] = in_level[child]
-                child = left[child]  # the rest's total; in-place steps keep two row temporaries
-                rest -= child
-                levels[:, i] = rest
-                rest = child
-            ranks[:, -1] = rank
-            levels[:, -1] = rest
-            yield lo, ranks, levels
-
-    for n, order in enumerate(orders, 1):  # order: the trees up to n - 1
-        starts = np.append(starts, len(left))
-        left = np.concatenate([left, n - 1 - order])
-        in_level = np.concatenate([in_level, _in_level(order)])
-        yield level(n)
+                index[lo:lo + len(rank), i] = flat[child]
+                rest = left[child]
+            index[lo:lo + len(rank), -1] = base[rest] + rank
+        index.setflags(write=False)
+        _child_index[m, p] = index
+    return _child_index[n, p]
 
 
 def _orders(p: int):
@@ -373,45 +370,34 @@ def _orders(p: int):
         del totals
 
 
-def _in_level(order: np.ndarray) -> np.ndarray:
-    """The rank of each tree in its level, for levels of trees listed in canonical order."""
-    rank = np.empty(len(order), np.int32 if len(order) < 2**31 else np.int64)
-    for m, count in enumerate(np.bincount(order).tolist()):
-        rank[order == m] = np.arange(count)
-    return rank
-
-
 def _infix_rows(n: int):
     """Infix texts of binary level ``n``: ``(first rank, rows)`` chunks of ``uint8`` rows.
 
     A row is ``"(" + infix(L) + infix(R) + ")"``, copied from the rows of the
-    lower levels by the child ranks of :func:`_children_up_to`; no word array
-    is read.  Each chunk holds at most ``_CHUNK_CELLS`` cells, or one row, and
-    the top level's chunks of child ranks are cut to that many rows before
-    their text is filled.  Byte-identical to :func:`_infix` per word.
+    lower levels by the child index of :func:`_children`, split into level
+    and rank by the level starts; no word array is read.  Every level is
+    filled ``_CHUNK_CELLS`` text cells at a time, or one row, and only the
+    top level's chunks are yielded.  Byte-identical to :func:`_infix` per word.
     """
     texts = [np.full((1, 1), _X, np.uint8)]  # the rows of each level below
     if not n:
         yield 0, texts[0]
-    step = max(1, _CHUNK_CELLS // (3 * n + 1))  # the rows of one chunk of the top level
-    for m, chunks in enumerate(islice(_children_up_to(2), n), 1):
+    for m in range(1, n + 1):
+        index, starts = _children(m, 2), _starts(m, 2)
         if m < n:
-            texts.append(np.empty((catalan(m, 2), 3 * m + 1), np.uint8))
-        for lo, ranks, levels in chunks:
-            cut = step if m == n else len(ranks)  # the rows filled at once
-            for first in range(0, len(ranks), cut):
-                rank, level = ranks[first:first + cut], levels[first:first + cut]
-                if m < n:
-                    rows = texts[m][lo:lo + cut]
-                else:
-                    rows = np.empty((len(rank), 3 * m + 1), np.uint8)
-                rows[:, 0], rows[:, -1] = ord("("), ord(")")
-                for left in np.flatnonzero(np.bincount(level[:, 0])).tolist():  # those present
-                    of = level[:, 0] == left
-                    rows[of, 1:3 * left + 2] = texts[left][rank[of, 0]]
-                    rows[of, 3 * left + 2:-1] = texts[m - 1 - left][rank[of, 1]]
-                if m == n:
-                    yield lo + first, rows
+            texts.append(np.empty((len(index), 3 * m + 1), np.uint8))
+        step = max(1, _CHUNK_CELLS // (3 * m + 1))  # the rows filled at once
+        for lo in range(0, len(index), step):
+            level = np.searchsorted(starts, index[lo:lo + step], "right") - 1
+            rank = index[lo:lo + step] - starts[level]
+            rows = texts[m][lo:lo + step] if m < n else np.empty((len(rank), 3 * m + 1), np.uint8)
+            rows[:, 0], rows[:, -1] = ord("("), ord(")")
+            for left in np.flatnonzero(np.bincount(level[:, 0])).tolist():  # those present
+                of = level[:, 0] == left
+                rows[of, 1:3 * left + 2] = texts[left][rank[of, 0]]
+                rows[of, 3 * left + 2:-1] = texts[m - 1 - left][rank[of, 1]]
+            if m == n:
+                yield lo, rows
 
 
 def _texts(words: np.ndarray) -> list[str]:

@@ -795,6 +795,29 @@ class TestCoatomCensus:
         with pytest.raises(ValueError):
             a.coatom_census(7)
 
+    def test_each_level_is_ranked_once(self, monkeypatch):
+        # a verify_closed per candidate ranked levels 0-3 again for each: 124 calls at p = 6
+        ranked = []
+        images = spectra._images
+
+        def counted(words, n, p):
+            ranked.append(n)
+            return images(words, n, p)
+
+        monkeypatch.setattr(spectra, "_images", counted)
+        for p in range(2, 7):
+            ranked.clear()
+            assert a.coatom_census(p) == 2 ** (p - 1) - 1
+            assert ranked == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_matches_verify_closed_on_each_candidate(self, p):
+        full = [Partition.full(n, p) for n in range(5)]
+        want = sum(a.verify_closed(SpectrumPrefix(full[:2] + [Partition(2, p, [0, *labels])]
+                                                + full[3:])).closed
+                   for labels in itertools.product([0, 1], repeat=p - 1) if any(labels))
+        assert a.coatom_census(p) == want
+
 
 class TestCongruenceBound:
     def test_class_counts_bounded_by_composition_sum(self):

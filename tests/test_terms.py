@@ -191,19 +191,19 @@ def children_by_ballot(n, p):
 
 
 def joined_children(top, p):
-    """The ranks and levels of the children of levels 1..top, each level's row chunks joined."""
-    for chunks in itertools.islice(terms._children_up_to(p), top):
-        firsts, ranks, levels = zip(*chunks)
-        assert list(firsts) == list(itertools.accumulate(map(len, ranks[:-1]), initial=0))
-        assert all(r.size <= terms._CHUNK_CELLS or len(r) == 1 for r in ranks)
-        yield np.concatenate(ranks), np.concatenate(levels)
+    """The ranks and levels of the children of levels 1..top, split from each level's index."""
+    for n in range(1, top + 1):
+        index, starts = terms._children(n, p), terms._starts(n, p)
+        assert index.shape == (a.catalan(n, p), p) and not index.flags.writeable
+        levels = np.searchsorted(starts, index, "right") - 1
+        yield index - starts[levels], levels
 
 
 def assert_children_by_ballot(n, p):
-    *_, got = joined_children(n, p)  # the last level's ranks and levels
-    want = children_by_ballot(n, p)
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    ranks, levels = children_by_ballot(n, p)
+    got = terms._children(n, p)
+    assert got.dtype == np.int32 and not got.flags.writeable
+    assert np.array_equal(got, terms._starts(n, p)[levels] + ranks)
 
 
 class TestWordArray:
@@ -231,6 +231,49 @@ class TestWordArray:
     @pytest.mark.parametrize("p,n", [(12, 3), (40, 3), (63, 3), (300, 2), (10**6, 1)])
     def test_wide_child_ranks_match_the_ballot_scan(self, p, n):
         assert_children_by_ballot(n, p)
+
+    @pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (4, 5), (5, 4)])
+    def test_child_index_matches_the_ballot_scan_at_every_level(self, p, top):
+        for n in range(1, top + 1):
+            assert_children_by_ballot(n, p)
+
+    def test_a_wide_level_places_each_child_position_once(self, monkeypatch):
+        # placed 65 rows at a time, each slice ran the child positions again: 8,799 placements
+        # here, and 2.2 s at p = 3000
+        monkeypatch.setattr(terms, "_child_index", {})
+        placed, searchsorted = [], np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args: placed.append(1) or searchsorted(*args))
+        start = time.perf_counter()
+        terms._children(2, 1000)
+        assert time.perf_counter() - start < 0.5
+        assert len(placed) == 999  # a searchsorted per child position but the last
+        monkeypatch.setattr(np, "searchsorted", searchsorted)
+        assert_children_by_ballot(2, 1000)
+
+    def test_a_miss_builds_every_missing_lower_level_in_one_pass(self, monkeypatch):
+        passes, built, orders = [], [], terms._orders
+
+        class Recorded(dict):
+            def __setitem__(self, key, value):
+                built.append(key)
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(terms, "_child_index", Recorded({(2, 3): terms._children(2, 3)}))
+        monkeypatch.setattr(terms, "_orders", lambda p: passes.append(p) or orders(p))
+        index = terms._children(5, 3)
+        assert passes == [3] and built == [(1, 3), (3, 3), (4, 3), (5, 3)]  # level 2 was cached
+        for n in (1, 3, 4):
+            terms._children(n, 3)
+        assert passes == [3]
+        assert terms._children(5, 3) is index and not index.flags.writeable
+
+    def test_index_built_in_small_slices_is_the_same(self, monkeypatch):
+        monkeypatch.setattr(terms, "_child_index", {})
+        monkeypatch.setattr(terms, "_CHUNK_CELLS", 8)
+        for p, top in ((2, 7), (3, 4)):
+            for n in range(1, top + 1):
+                assert_children_by_ballot(n, p)
 
     @pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (4, 4), (5, 3)])
     def test_orders_sort_the_words_up_to_each_level(self, p, top):
