@@ -317,6 +317,8 @@ def _walk(g: Groupoid, top: int):
         return
     p, op = g.arity, g._array
     flat, fold = _weights(p, g.size, top)
+    order = np.argsort(op, axis=None, kind="stable")  # the table's cells by value
+    by_value = order, *np.unique(op.ravel()[order], return_index=True)
     yield np.zeros(1, np.intp), flat[None]  # flat: every kept class's moments, a row an offset
     row, length = np.zeros(1, np.intp), np.ones(1, np.intp)  # per class: its row 0, its width
     first_keys: list = [()]  # per class: the child classes of its first key
@@ -335,7 +337,7 @@ def _walk(g: Groupoid, top: int):
         label = _forced_unions(n, p, *below, which, len(keys))
         reps = np.flatnonzero(label == np.arange(len(keys)))  # each union's least key
         offsets = (p - 1) * (top - n) + 1
-        moments = _moments(op, flat, row[keys[reps]], length[keys[reps]], offsets)
+        moments = _moments(op, flat, row[keys[reps]], length[keys[reps]], offsets, by_value)
         group = _group_rows((moments[:, 0] * fold % _P).sum(axis=1, keepdims=True))[1]
         shared = np.flatnonzero(np.bincount(group)[group] > 1)
         shared = shared[np.argsort(group[shared], kind="stable")]  # by moment, then by key
@@ -398,16 +400,16 @@ def _forced_unions(n: int, p: int, below_which: np.ndarray, below_class: np.ndar
 
 
 def _moments(op: np.ndarray, flat: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
-             offsets: int) -> np.ndarray:
+             offsets: int, by_value: tuple) -> np.ndarray:
     """The moments of keys at the offsets ``0..offsets-1``, a ``(keys, offsets, size)`` array.
 
     ``rows`` and ``lengths`` give each child's offset-0 row in ``flat`` and its
     width; child i is read at the key's offset plus the widths before it.  The
     children multiply in one at a time, mod P, and the ``size**p`` products
-    are summed by the operation's value.
+    are summed by the operation's value: ``by_value`` holds the flat cells
+    sorted by value, the values hit and where each starts.
     """
-    order = np.argsort(op, axis=None, kind="stable")
-    hit, edges = np.unique(op.ravel()[order], return_index=True)
+    order, hit, edges = by_value
     at = (rows + np.cumsum(lengths, axis=1) - lengths)[:, :, None] + np.arange(offsets)
     out = np.zeros((len(rows), offsets, op.shape[0]), np.int64)
     step = max(1, _CHUNK_CELLS // (offsets * op.size))
@@ -574,18 +576,57 @@ def _const_assoc(m: int) -> Groupoid:
     return Groupoid(2, m, [min(x + y, m - 1) for x in range(m) for y in range(m)])
 
 
-def _ring_op(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """``3Y*x1 + 2Y*x2`` on Z6 coefficient arrays along the last axis, lowest degree first.
+_LANES = 16  # Z6 coefficients per uint64 word, 4 bits each, the lowest degree in the lowest lane
+_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)
+_ONES, _TWOS, _FIVES, _EIGHTS = (np.uint64(0x1111111111111111 * k) for k in (1, 2, 5, 8))
 
-    The result has the dtype of ``x1``; the inputs are not written to.
+
+def _pack(coeffs) -> np.ndarray:
+    """Z6 coefficients along the last axis, lowest degree first, as ``ceil(len/16)`` words."""
+    coeffs = np.asarray(coeffs)
+    *shape, degrees = coeffs.shape
+    words = -(-degrees // _LANES)
+    lanes = np.zeros((*shape, words * _LANES), np.uint64)
+    lanes[..., :degrees] = coeffs
+    return np.bitwise_or.reduce(lanes.reshape(*shape, words, _LANES) << _SHIFTS, axis=-1)
+
+
+def _unpack(words: np.ndarray, truncation: int) -> np.ndarray:
+    """The ``int8`` coefficients below ``Y**truncation`` of packed words; inverse of :func:`_pack`."""
+    lanes = (words[..., None] >> _SHIFTS) & np.uint64(15)
+    return lanes.reshape(*words.shape[:-1], -1)[..., :truncation].astype(np.int8)
+
+
+def _ring_op(x1: np.ndarray, x2: np.ndarray, truncation: int, out=None) -> np.ndarray:
+    """``3Y*x1 + 2Y*x2`` on packed Z6 words (:func:`_pack`) along the last axis.
+
+    Lane by lane, with no carry between lanes: ``3*x mod 6 = 3*(x & 1)``;
+    ``2*x mod 6 = 2*x - 6*[x >= 3]``, the flag being bit 3 of ``x + 5``; and
+    the sum ``s <= 7`` is reduced by ``s - 6*[s >= 6]``, the flag being bit 3
+    of ``s + 2``.  Multiplying by Y shifts each word up one lane, the top
+    lane carrying into the next word, and the last word is masked to the
+    truncation.  The result is written to ``out`` (a new array when
+    ``None``); the inputs are not written to.
     """
-    s = 3 * x1
-    s += 2 * x2
-    # s - 6*(s//6) is s % 6; numpy has a vector loop for int8 floor division, none for int8 %
-    s -= 6 * (s // 6)
-    out = np.empty_like(s)
-    out[..., 1:] = s[..., :-1]
-    out[..., 0] = 0
+    out = np.bitwise_and(x1, _ONES, out=out)
+    out *= np.uint64(3)
+    out += x2
+    out += x2  # at most 3 + 2*5 = 13 in a lane
+    high = x2 + _FIVES
+    high &= _EIGHTS
+    high >>= np.uint64(3)
+    high *= np.uint64(6)
+    out -= high  # 3*x1 + 2*x2 mod 6 before the last reduction, at most 3 + 4 = 7
+    np.add(out, _TWOS, out=high)
+    high &= _EIGHTS
+    high >>= np.uint64(3)
+    high *= np.uint64(6)
+    out -= high
+    carry = out[..., :-1] >> np.uint64(60)
+    out <<= np.uint64(4)
+    out[..., 1:] |= carry
+    if truncation % _LANES:
+        out[..., -1] &= np.uint64((1 << 4 * (truncation % _LANES)) - 1)
     return out
 
 
@@ -618,7 +659,7 @@ class TruncatedRing:
         return tuple(out)
 
     def apply(self, x1, x2) -> tuple[int, ...]:
-        return tuple(_ring_op(np.array(self.element(x1)), np.array(self.element(x2))).tolist())
+        return self._folded("wxx", [self.element(x1), self.element(x2)])
 
     def eval_term(self, t: Bracketing, args) -> tuple[int, ...]:
         """Evaluate a binary bracketing over ring elements, left to right."""
@@ -627,7 +668,27 @@ class TruncatedRing:
         args = [self.element(a) for a in args]
         if len(args) != t.length:
             raise ValueError(f"expected {t.length} arguments, got {len(args)}")
-        return tuple(_fold(t._word, t.arity, np.array(args).__getitem__, _ring_op).tolist())
+        return self._folded(t._word, args)
+
+    def _folded(self, word: str, elements: list) -> tuple[int, ...]:
+        """The value of a binary prefix word over ``elements``, folded on Python ints.
+
+        An element is one int with a byte per coefficient, lowest degree in
+        the lowest byte; the operation is :func:`_ring_op`'s lane arithmetic
+        on every byte at once, with no word boundary to carry over.  One
+        element at a time, an int operation costs less than a numpy call.
+        """
+        t = self.truncation
+        ones = int.from_bytes(b"\x01" * t, "little")
+        twos, fives, eights, mask = 2 * ones, 5 * ones, 8 * ones, (1 << 8 * t) - 1
+
+        def op(x1: int, x2: int) -> int:
+            s = 3 * (x1 & ones) + 2 * x2 - 6 * (((x2 + fives) & eights) >> 3)
+            s -= 6 * (((s + twos) & eights) >> 3)
+            return (s << 8) & mask
+
+        values = [int.from_bytes(bytes(e), "little") for e in elements]
+        return tuple(_fold(word, 2, values.__getitem__, op).to_bytes(t, "little"))
 
     def __repr__(self):
         return f"TruncatedRing(truncation={self.truncation})"
@@ -689,13 +750,15 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
                            max_cells: int | None = None) -> RingCheckReport:
     """Check every level bracketing against its depth closed form on random arguments.
 
-    Term evaluation uses the ring operation only; the closed form
-    ``(3Y)^dl * X_first + (2Y)^dr * X_last`` uses the tree depths, so the two
-    routes are independent.  Needs ``level < truncation`` so distinct depths
-    stay distinguishable below the truncation.  The arguments are drawn from
+    Term evaluation uses the ring operation only, on packed words (sixteen
+    coefficients to a ``uint64``, :func:`_ring_op`); the closed form
+    ``(3Y)^dl * X_first + (2Y)^dr * X_last`` is coefficient arithmetic on the
+    tree depths, packed only to be compared, so the two routes are
+    independent.  Needs ``level < truncation`` so distinct depths stay
+    distinguishable below the truncation.  The arguments are drawn from
     ``random.Random(seed)``, uniform on Z6, so one seed gives one report.
-    Before any argument is drawn, the residues that the check keeps, the
-    arguments and every lower bracketing at each of its leaf offsets, are
+    Before any argument is drawn or packed, the residues that the check keeps,
+    the arguments and every lower bracketing at each of its leaf offsets, are
     counted against ``max_cells`` (``DEFAULT_MAX_CELLS`` when ``None``).
     """
     if trials < 1:
@@ -709,7 +772,7 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
     require_cap(kept * trials * truncation, max_cells, DEFAULT_MAX_CELLS,
                 f"ring check to level {level} needs {{}} cells")
     n_vars = level + 1
-    # residues stay below 3*5 + 2*5 = 25 inside _ring_op, so int8 holds them
+    # the closed form's products stay below 5*5 = 25, so int8 holds them
     args = np.array(random.Random(seed).choices(range(6), k=trials * n_vars * truncation),
                     np.int8).reshape(trials, n_vars, truncation)
 
@@ -721,47 +784,54 @@ def ring_closed_form_check(truncation: int, level: int, trials: int = 50, *,
 
     # the wanted value depends only on (dl, dr); the single variable is its argument
     depths, which = _group_rows(_level_rows(level, 2, _depths, max_count))
-    want = np.stack([args[:, 0, :]] if level == 0 else [
+    want = _pack(np.stack([args[:, 0, :]] if level == 0 else [
         (shifted(args[:, 0, :], dl, pow(3, dl, 6))
-         + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6 for dl, dr in depths.tolist()])
+         + shifted(args[:, n_vars - 1, :], dr, pow(2, dr, 6))) % 6 for dl, dr in depths.tolist()]))
     bad = []
-    for ranks, got in _ring_level(args, level):
+    for ranks, got in _ring_level(_pack(args), level, truncation):
         bad += ranks[(got != want[which[ranks]]).any(axis=(1, 2))].tolist()
     mismatches = _texts(_level(level, 2)[sorted(bad)])
     return RingCheckReport(truncation, level, trials, count, tuple(mismatches))
 
 
-def _ring_level(args: np.ndarray, level: int):
+def _ring_level(args: np.ndarray, level: int, truncation: int):
     """Yield the ring values of the binary bracketings of ``level``, block by block.
 
-    ``args`` has shape ``(trials, level + 1, truncation)``.  Every bracketing
-    of the lower levels is evaluated once, at all of its leaf offsets at the
-    same time: level m keeps values of shape ``(count, trials, offsets,
-    truncation)``.  A block of a chunk's bracketings that share a left child
-    level is one :func:`_ring_op` over its children's slices.  Each block
-    yields its ranks and its values, of shape ``(len(ranks), trials,
-    truncation)``, which are not stored.
+    ``args`` holds packed words (:func:`_pack`), of shape ``(trials, level +
+    1, words)``.  Every bracketing of the lower levels is evaluated once, at
+    all of its leaf offsets at the same time: level m keeps words of shape
+    ``(count, trials, offsets, words)``.  A chunk of the child index is read
+    in order of left child level, so the bracketings that share one are
+    consecutive rows of the level's store, and each block of them is one
+    :func:`_ring_op` over its children's slices, written straight into that
+    store; a level keeps the row of each rank.  Blocks hold at most
+    ``_CHUNK_CELLS`` coefficients.  Each top-level block yields its ranks and
+    its words, of shape ``(len(ranks), trials, words)``, which are not stored.
     """
     if level == 0:
         yield np.zeros(1, np.intp), args[None, :, 0]
         return
-    below = [args[None]]  # per level: values at leaf offsets 0..level-m
+    trials, words = args.shape[0], args.shape[2]
+    below, row = [args[None]], [np.zeros(1, np.intp)]  # per level: its store, each rank's row
     for m in range(1, level + 1):
         offsets, starts = level - m + 1, _starts(m, 2)
         if m < level:
-            kept = np.empty((catalan(m, 2), args.shape[0], offsets, args.shape[2]), args.dtype)
-            below.append(kept)
-        step = max(1, _CHUNK_CELLS // (args.shape[0] * offsets * args.shape[2]))
+            below.append(np.empty((catalan(m, 2), trials, offsets, words), np.uint64))
+            row.append(np.empty(catalan(m, 2), np.intp))
+        step = max(1, _CHUNK_CELLS // (trials * offsets * _LANES * words))
         for lo, kids in _row_chunks(_children(m, 2)):  # a child's level and its rank there
             levels = np.searchsorted(starts, kids, "right") - 1
             ranks = kids - starts[levels]
-            for left in range(m):
-                block = np.flatnonzero(levels[:, 0] == left)
-                for rows in np.split(block, range(step, len(block), step)):
-                    got = _ring_op(below[left][ranks[rows, 0], :, :offsets],
-                                   below[m - 1 - left][ranks[rows, 1], :,
-                                                       left + 1:left + 1 + offsets])
+            order = np.argsort(levels[:, 0], kind="stable")
+            edges = np.searchsorted(levels[order, 0], range(m + 1)).tolist()  # per left level
+            for left, right in enumerate(range(m - 1, -1, -1)):
+                for at in range(edges[left], edges[left + 1], step):
+                    rows = order[at:min(at + step, edges[left + 1])]
+                    x1 = below[left][row[left][ranks[rows, 0]], :, :offsets]
+                    x2 = below[right][row[right][ranks[rows, 1]], :, left + 1:left + 1 + offsets]
                     if m < level:
-                        kept[lo + rows] = got
+                        _ring_op(x1, x2, truncation, below[m][lo + at:lo + at + len(rows)])
                     else:
-                        yield lo + rows, got[:, :, 0]
+                        yield lo + rows, _ring_op(x1, x2, truncation)[:, :, 0]
+            if m < level:
+                row[m][lo + order] = np.arange(lo, lo + len(order))

@@ -47,7 +47,7 @@ def _tuple_columns(words: np.ndarray, n: int) -> np.ndarray:
     Entry ``i`` is 1 plus the number of variables before the i-th operation
     symbol, which has ``i - 1`` operation symbols before it.
     """
-    where = np.nonzero(words == _W)[1].reshape(len(words), n)
+    where = (np.flatnonzero(words.ravel() == _W) % words.shape[1]).reshape(len(words), n)
     return where - np.arange(n) + 1
 
 
@@ -91,14 +91,16 @@ def _tuple_words(tuples, n: int, p: int) -> np.ndarray:
 
 
 def _check_member(u: tuple[int, ...], p: int, k: int) -> None:
+    prev, bound = 1, k  # entry i lies in u[i-2]..(p-1)*(i-1)+k, and from 1 at i = 1
     for i, v in enumerate(u, start=1):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"tuple entries must be integers, got {v!r}")
-        if i > 1 and v < u[i - 2]:
-            raise ValueError(f"tuple is not weakly increasing at entry {i}: {u}")
-        bound = (p - 1) * (i - 1) + k
-        if not 1 <= v <= bound:
-            raise ValueError(f"entry {i} of {u} is outside 1..{bound}")
+        if type(v) is not int or not prev <= v <= bound:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"tuple entries must be integers, got {v!r}")
+            if i > 1 and v < prev:
+                raise ValueError(f"tuple is not weakly increasing at entry {i}: {u}")
+            if not 1 <= v <= bound:
+                raise ValueError(f"entry {i} of {u} is outside 1..{bound}")
+        prev, bound = v, bound + p - 1
 
 
 def from_tuple(u, p: int) -> Bracketing:

@@ -89,6 +89,42 @@ def ring_closed_form(ring, t, args):
                  for d in range(ring.truncation))
 
 
+def int8_ring_op(x1, x2):
+    """``3Y*x1 + 2Y*x2`` on Z6 coefficient arrays along the last axis: the packed op's oracle."""
+    s = 3 * x1
+    s += 2 * x2
+    s -= 6 * (s // 6)
+    out = np.empty_like(s)
+    out[..., 1:] = s[..., :-1]
+    out[..., 0] = 0
+    return out
+
+
+def on_coefficients(op):
+    """A packed ring operation that applies ``op`` to the unpacked coefficients."""
+    def packed(x1, x2, truncation, out=None):
+        words = groupoids._pack(op(groupoids._unpack(x1, truncation),
+                                   groupoids._unpack(x2, truncation)))
+        if out is None:
+            return words
+        out[...] = words
+        return out
+    return packed
+
+
+def assert_ring_level_matches_eval_term(level, truncation):
+    ring = a.TruncatedRing(truncation)
+    args = np.random.default_rng(level).integers(0, 6, size=(3, level + 1, truncation))
+    got = {}
+    for ranks, values in groupoids._ring_level(groupoids._pack(args), level, truncation):
+        got.update(zip(ranks.tolist(), groupoids._unpack(values, truncation)))
+    trees = a.enumerate_bracketings(level, 2)
+    assert sorted(got) == list(range(len(trees)))
+    for r, t in enumerate(trees):
+        for trial in range(3):
+            assert tuple(got[r][trial].tolist()) == ring.eval_term(t, args[trial].tolist())
+
+
 def mirror(g):
     assert g.arity == 2
     table = [g.apply(y, x) for x in range(g.size) for y in range(g.size)]
@@ -292,7 +328,8 @@ class TestTermFunction:
 
 def collided_moments():
     """Patch the walker so that every key of a level has one and the same moment."""
-    return mock.patch.object(groupoids, "_moments", lambda op, flat, rows, lengths, offsets:
+    return mock.patch.object(groupoids, "_moments",
+                             lambda op, flat, rows, lengths, offsets, by_value:
                              np.zeros((len(rows), offsets, op.shape[0]), np.int64))
 
 
@@ -1115,6 +1152,18 @@ class TestTruncatedRing:
         args = data.draw(st.lists(element, min_size=t.length, max_size=t.length))
         assert ring.eval_term(t, args) == ring_closed_form(ring, t, args)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_apply_matches_the_coefficient_oracle(self, data):
+        # one element at a time; the 36 rows hold every residue pair at every degree
+        truncation = data.draw(st.integers(1, 40))
+        shift = data.draw(st.integers(0, 35))
+        pair = (np.arange(36)[:, None] + np.arange(truncation) + shift) % 36
+        x1, x2 = pair // 6, pair % 6
+        ring = a.TruncatedRing(truncation)
+        got = [ring.apply(y1, y2) for y1, y2 in zip(x1.tolist(), x2.tolist())]
+        assert got == [tuple(w) for w in int8_ring_op(x1, x2).tolist()]
+
 
 class TestRingOp:
     @pytest.mark.parametrize("dtype", [np.int8, np.int64])
@@ -1126,14 +1175,56 @@ class TestRingOp:
         want = np.zeros((36, k), np.int64)
         for i, d in itertools.product(range(36), range(1, k)):
             want[i, d] = (3 * int(x1[i, d - 1]) + 2 * int(x2[i, d - 1])) % 6
+        assert np.array_equal(int8_ring_op(x1, x2), want)
         cases = [(x1[i], x2[i], want[i]) for i in range(36)]  # shape (k,), views of x1 and x2
         cases.append((x1.reshape(6, 6, k), x2.reshape(6, 6, k), want.reshape(6, 6, k)))
         for y1, y2, w in cases:
+            y1, y2 = groupoids._pack(y1), groupoids._pack(y2)
             before = y1.copy(), y2.copy()
-            got = groupoids._ring_op(y1, y2)
-            assert got.dtype == dtype and got.shape == w.shape
-            assert np.array_equal(got, w)
+            got = groupoids._ring_op(y1, y2, k)
+            assert got.dtype == np.uint64 and got.shape == w.shape[:-1] + (1,)
+            assert np.array_equal(groupoids._unpack(got, k), w)
             assert np.array_equal(y1, before[0]) and np.array_equal(y2, before[1])
+            out = np.empty_like(got)
+            assert groupoids._ring_op(y1, y2, k, out) is out and np.array_equal(out, got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_packed_op_matches_the_coefficient_oracle(self, data):
+        # 1, 2 and 3 words; the first 36 rows hold every residue pair at every degree
+        truncation = data.draw(st.integers(1, 40))
+        shift = data.draw(st.integers(0, 35))
+        pair = (np.arange(36)[:, None] + np.arange(truncation) + shift) % 36
+        x1, x2 = pair // 6, pair % 6
+        element = st.lists(st.integers(0, 5), min_size=truncation, max_size=truncation)
+        extra = data.draw(st.lists(st.tuples(element, element), max_size=4))
+        if extra:
+            x1 = np.concatenate([x1, [e[0] for e in extra]])
+            x2 = np.concatenate([x2, [e[1] for e in extra]])
+        x1, x2 = x1.astype(np.int8), x2.astype(np.int8)
+        got = groupoids._ring_op(groupoids._pack(x1), groupoids._pack(x2), truncation)
+        assert got.shape == (len(x1), -(-truncation // 16))
+        assert np.array_equal(groupoids._unpack(got, truncation), int8_ring_op(x1, x2))
+        # no lane above the truncation is set
+        assert np.array_equal(groupoids._pack(groupoids._unpack(got, truncation)), got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pack_round_trip(self, data):
+        truncation = data.draw(st.integers(1, 40))
+        shape = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2))) + (truncation,)
+        coeffs = np.array(data.draw(st.lists(st.integers(0, 5), min_size=math.prod(shape),
+                                             max_size=math.prod(shape)))).reshape(shape)
+        words = groupoids._pack(coeffs)
+        assert words.dtype == np.uint64 and words.shape == shape[:-1] + (-(-truncation // 16),)
+        # degree d sits in word d // 16, at bits 4*(d % 16) and up
+        for index in np.ndindex(shape[:-1]):
+            want = [0] * words.shape[-1]
+            for d, c in enumerate(coeffs[index].tolist()):
+                want[d // 16] |= c << 4 * (d % 16)
+            assert words[index].tolist() == want
+        back = groupoids._unpack(words, truncation)
+        assert back.dtype == np.int8 and np.array_equal(back, coeffs)
 
 
 class TestRingClosedFormCheck:
@@ -1156,8 +1247,8 @@ class TestRingClosedFormCheck:
 
         def values():
             out = np.full((a.catalan(6, 2), 3, 8), -1, np.int8)
-            for ranks, got in groupoids._ring_level(args, 6):
-                out[ranks] = got
+            for ranks, got in groupoids._ring_level(groupoids._pack(args), 6, 8):
+                out[ranks] = groupoids._unpack(got, 8)
             return out
 
         want = values()
@@ -1175,19 +1266,17 @@ class TestRingClosedFormCheck:
             out[..., 1:] = (2 * x1[..., :-1] + 3 * x2[..., :-1]) % 6
             return out
 
-        with mock.patch.object(groupoids, "_ring_op", swapped):
+        with mock.patch.object(groupoids, "_ring_op", on_coefficients(swapped)):
             report = a.ring_closed_form_check(16, 4, trials=5)
         assert not report.ok and len(report.mismatches) == report.bracketings == 14
 
     def test_one_seed_gives_one_report(self):
-        ring_op = groupoids._ring_op
-
         def flawed(x1, x2):  # wrong only where a left argument's constant term is 5
-            out = ring_op(x1, x2)
+            out = int8_ring_op(x1, x2)
             out[..., 1] = (out[..., 1] + (x1[..., 0] == 5)) % 6
             return out
 
-        with mock.patch.object(groupoids, "_ring_op", flawed):
+        with mock.patch.object(groupoids, "_ring_op", on_coefficients(flawed)):
             reports = [a.ring_closed_form_check(8, 4, trials=1, seed=s) for s in (0, 0, 1, 1, 2)]
         assert reports[0] == reports[1] and reports[2] == reports[3]
         # the mismatches follow the drawn arguments, so the seeds tell apart
@@ -1195,16 +1284,12 @@ class TestRingClosedFormCheck:
 
     @pytest.mark.parametrize("level", range(7))
     def test_shared_evaluation_matches_eval_term(self, level):
-        ring = a.TruncatedRing(8)
-        args = np.random.default_rng(level).integers(0, 6, size=(3, level + 1, 8))
-        got = {}
-        for ranks, values in groupoids._ring_level(args.astype(np.int8), level):
-            got.update(zip(ranks.tolist(), values))
-        trees = a.enumerate_bracketings(level, 2)
-        assert sorted(got) == list(range(len(trees)))
-        for r, t in enumerate(trees):
-            for trial in range(3):
-                assert tuple(got[r][trial].tolist()) == ring.eval_term(t, args[trial].tolist())
+        assert_ring_level_matches_eval_term(level, 8)
+
+    def test_two_word_evaluation_matches_eval_term(self):
+        # a truncation of 20 keeps two words per element, the second one masked to 4 lanes
+        for level in range(7):
+            assert_ring_level_matches_eval_term(level, 20)
 
     def test_builds_only_its_top_word_array(self):
         # the mismatches and the depths read level 8's words; the lower levels need none

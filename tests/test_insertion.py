@@ -36,6 +36,22 @@ def catalan_rec(n, p):
     return rec(n)
 
 
+class IntEntry(int):
+    """An int subclass: the one-pass member check leaves it to the entry loop."""
+
+
+def slow_check_member(u, p, k):
+    """The entry loop of the member check, the oracle of its one-pass fast path."""
+    for i, v in enumerate(u, start=1):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"tuple entries must be integers, got {v!r}")
+        if i > 1 and v < u[i - 2]:
+            raise ValueError(f"tuple is not weakly increasing at entry {i}: {u}")
+        bound = (p - 1) * (i - 1) + k
+        if not 1 <= v <= bound:
+            raise ValueError(f"entry {i} of {u} is outside 1..{bound}")
+
+
 class TestToTuple:
     def test_table_values(self):
         for n, want in TABLE1_TUPLES.items():
@@ -84,6 +100,21 @@ class TestFromTuple:
     def test_arity_checked_before_the_tuple(self):
         with pytest.raises(ValueError, match="arity"):
             a.from_tuple((1,), "2")
+
+    @given(st.lists(st.one_of(st.integers(-1, 9), st.booleans(), st.sampled_from(
+               [1.0, 2.5, "1", IntEntry(1), IntEntry(2), np.int64(1)])), max_size=6),
+           st.integers(2, 4), st.integers(0, 3))
+    def test_member_check_matches_the_entry_loop(self, entries, p, k):
+        # the one-pass check must give every verdict and message of the loop it skips
+        u = tuple(entries)
+        try:
+            slow_check_member(u, p, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                insertion._check_member(u, p, k)
+            assert str(got.value) == str(exc)
+        else:
+            insertion._check_member(u, p, k)
 
 
 class TestBetaUpdate:
@@ -231,6 +262,16 @@ class TestSerialization:
                 columns = insertion._tuple_columns(words, n)
                 want = "".join(a.format_tuple(u) + "\n" for u in columns.tolist())
                 assert insertion._tuple_lines(columns).tobytes().decode("ascii") == want
+
+    @pytest.mark.parametrize("p,top", [(2, 9), (3, 6), (5, 4)])
+    def test_tuple_columns_are_to_tuple_per_row(self, p, top):
+        for n in range(top + 1):
+            words = terms._level(n, p)
+            want = [a.to_tuple(t) for t in a.enumerate_bracketings(n, p)]
+            assert insertion._tuple_columns(words, n).tolist() == [list(u) for u in want]
+            # a slice of rows, as a chunk reads it
+            assert insertion._tuple_columns(words[1::2], n).tolist() == [list(u)
+                                                                         for u in want[1::2]]
 
     def test_array_tuple_lines_of_wide_entries(self):
         columns = [[1, 9, 10, 99, 100, 12345],
